@@ -103,7 +103,7 @@ def sampling_summary(
     # baseline never touches unsampled rows before speaking)
     dev_full = problem.prior_deviation()
 
-    for _ in range(m):
+    for _ in range(min(m, factset.n_facts)):
         committed = None
         n_batches = 0
         while committed is None:
@@ -117,8 +117,11 @@ def sampling_summary(
             if chosen:
                 est[np.array(chosen)] = -np.inf  # don't repeat facts
             order = np.argsort(-est)
-            best, second = int(order[0]), int(order[1])
-            separated = est[best] - z * half[best] >= est[second] + z * half[second]
+            best = int(order[0])
+            # a lone candidate has no rival to separate from
+            separated = factset.n_facts == 1 or (
+                est[best] - z * half[best] >= est[order[1]] + z * half[order[1]]
+            )
             if separated or n_batches >= max_batches or sample_size >= n:
                 committed = best
                 v_est = v_mean[best]

@@ -16,7 +16,7 @@ of exactly one fact, so utility aggregation per group is a single
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +33,9 @@ class FactGroup:
     fact_values: np.ndarray  # (n_facts,) float64 — typical values (avg target)
     fact_codes: np.ndarray  # (n_facts, len(dims)) int32 — dim value codes
     fact_counts: np.ndarray  # (n_facts,) int64 — rows within scope
+    _fact_rows: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_facts(self) -> int:
@@ -40,7 +43,7 @@ class FactGroup:
 
     def rows_of_fact(self, local_idx: int) -> np.ndarray:
         """Row indices within scope of the ``local_idx``-th fact."""
-        if not hasattr(self, "_fact_rows"):
+        if self._fact_rows is None:
             order = np.argsort(self.row_to_fact, kind="stable")
             bounds = np.searchsorted(self.row_to_fact[order], np.arange(self.n_facts + 1))
             self._fact_rows = [order[bounds[i] : bounds[i + 1]] for i in range(self.n_facts)]
@@ -86,39 +89,49 @@ class FactSet:
         return float(self.groups[g].fact_values[local])
 
 
-def _factorize_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group identical rows of an int matrix: returns (inverse, uniques)."""
-    uniques, inverse = np.unique(codes, axis=0, return_inverse=True)
-    return inverse.astype(np.int32), uniques.astype(np.int32)
-
-
 def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
     """Enumerate all candidate facts with up to ``max_extra_dims``
     additional equality predicates (all value combinations appearing in
     the data, as in Section III). The empty group — the overall average
     of the problem's subset — is always included.
+
+    Groups form the cube lattice: group ``(d1, …, dk)`` is built from
+    its parent ``(d1, …, dk-1)`` by the mixed-radix key
+    ``parent_fact · card[dk] + code[dk]`` and one ``bincount`` — no row
+    sort. The key is ordered like the tuple ``(d1, …, dk)``, so facts
+    come out in the lexicographic order of their value codes.
     """
-    n, d = problem.dim_matrix.shape
-    groups: list[FactGroup] = []
+    dm = problem.dim_matrix
+    n, d = dm.shape
+    card = dm.max(axis=0, initial=-1).astype(np.intp) + 1
+    built: dict[tuple[int, ...], FactGroup] = {}
     for size in range(0, max_extra_dims + 1):
         for dims in combinations(range(d), size):
             if size == 0:
-                inverse = np.zeros(n, dtype=np.int32)
-                uniques = np.zeros((1, 0), dtype=np.int32)
+                row_to_fact = np.zeros(n, dtype=np.int32)
+                fact_codes = np.zeros((1, 0), dtype=np.int32)
             else:
-                inverse, uniques = _factorize_rows(problem.dim_matrix[:, dims])
-            k = uniques.shape[0]
-            sums = np.bincount(inverse, weights=problem.target, minlength=k)
-            counts = np.bincount(inverse, minlength=k).astype(np.int64)
-            groups.append(
-                FactGroup(
-                    dims=dims,
-                    row_to_fact=inverse,
-                    fact_values=sums / counts,
-                    fact_codes=uniques,
-                    fact_counts=counts,
-                )
+                parent, c = built[dims[:-1]], card[dims[-1]]
+                key = parent.row_to_fact.astype(np.intp) * c + dm[:, dims[-1]]
+                cells = np.flatnonzero(np.bincount(key, minlength=parent.n_facts * c))
+                # cell -> local fact id; only entries at ``cells`` are read
+                remap = np.empty(parent.n_facts * c, dtype=np.int32)
+                remap[cells] = np.arange(cells.shape[0], dtype=np.int32)
+                row_to_fact = remap[key]
+                fact_codes = np.empty((cells.shape[0], size), dtype=np.int32)
+                fact_codes[:, :-1] = parent.fact_codes[cells // c]
+                fact_codes[:, -1] = cells % c
+            k = fact_codes.shape[0]
+            sums = np.bincount(row_to_fact, weights=problem.target, minlength=k)
+            counts = np.bincount(row_to_fact, minlength=k).astype(np.int64)
+            built[dims] = FactGroup(
+                dims=dims,
+                row_to_fact=row_to_fact,
+                fact_values=sums / counts,
+                fact_codes=fact_codes,
+                fact_counts=counts,
             )
+    groups = list(built.values())
     offsets = np.zeros(len(groups) + 1, dtype=np.int64)
     for i, g in enumerate(groups):
         offsets[i + 1] = offsets[i] + g.n_facts

@@ -25,7 +25,6 @@ from .core.pruning import naive_plan
 from .pipeline.config import Config, decode_key
 from .pipeline.lookup import SpeechIndex
 from .pipeline.preprocess import preprocess_target
-from .pipeline.problems import count_queries
 
 # ---------------------------------------------------------------- Fig. 3
 

@@ -42,9 +42,20 @@ class SpeechIndex:
         missing = required - set(speeches.columns)
         if missing:
             raise ValueError(f"speeches table missing columns: {sorted(missing)}")
-        self._by_target: dict[str, dict[str, pd.Series]] = {}
-        for _, row in speeches.iterrows():
-            self._by_target.setdefault(row["target"], {})[row["query_key"]] = row
+        # {target: {query_key: (speech, utility, normalized)}}
+        self._by_target: dict[str, dict[str, tuple[str, float, float]]] = {}
+        for target, key, speech, utility, normalized in zip(
+            speeches["target"].tolist(),
+            speeches["query_key"].tolist(),
+            speeches["speech"].tolist(),
+            speeches["utility"].tolist(),
+            speeches["normalized"].tolist(),
+        ):
+            self._by_target.setdefault(target, {})[key] = (
+                speech,
+                float(utility),
+                float(normalized),
+            )
 
     @property
     def targets(self) -> list[str]:
@@ -63,13 +74,14 @@ class SpeechIndex:
         for size in range(len(items), -1, -1):
             # deterministic order over equally-specific subsets
             for subset in combinations(items, size):
-                row = table.get(encode_key(dict(subset)))
-                if row is not None:
+                hit = table.get(encode_key(dict(subset)))
+                if hit is not None:
+                    speech, utility, normalized = hit
                     return Answer(
-                        speech=row["speech"],
+                        speech=speech,
                         matched_predicates=dict(subset),
                         exact=(size == len(items)),
-                        utility=float(row["utility"]),
-                        normalized=float(row["normalized"]),
+                        utility=utility,
+                        normalized=normalized,
                     )
         return None

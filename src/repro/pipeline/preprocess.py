@@ -36,7 +36,7 @@ from pyspark.sql.types import (
 )
 
 from ..core.exact import exact_summary
-from ..core.facts import enumerate_facts
+from ..core.facts import FactSet, enumerate_facts
 from ..core.greedy import greedy_summary
 from ..core.model import Problem, SpeechResult
 from ..core.planner import opt_prune
@@ -64,14 +64,14 @@ RESULT_SCHEMA = StructType(
 
 def make_solver(
     method: str, exact_timeout: float | None = None
-) -> Callable[[Problem, int, int], SpeechResult]:
+) -> Callable[[Problem, FactSet, int], SpeechResult]:
     """Per-problem solver for one of the paper's four variants:
     ``E`` (exact), ``G-B`` (greedy), ``G-P`` (greedy + naive pruning),
-    ``G-O`` (greedy + cost-optimized pruning). ``exact_timeout`` caps E's
-    per-problem search time (the paper uses a 48 h per-scenario cap)."""
+    ``G-O`` (greedy + cost-optimized pruning), over the problem's
+    already-enumerated facts. ``exact_timeout`` caps E's per-problem
+    search time (the paper uses a 48 h per-scenario cap)."""
 
-    def solve(problem: Problem, m: int, max_extra_dims: int) -> SpeechResult:
-        fs = enumerate_facts(problem, max_extra_dims=max_extra_dims)
+    def solve(problem: Problem, fs: FactSet, m: int) -> SpeechResult:
         if method == "E":
             return exact_summary(problem, fs, m, max_seconds=exact_timeout)
         if method == "G-B":
@@ -104,7 +104,7 @@ def solve_query_group(
     extra_dims = min(config.max_extra_dims, len(free_dims))
     fs = enumerate_facts(problem, max_extra_dims=extra_dims)
     solver = make_solver(method, exact_timeout=exact_timeout)
-    res = solver(problem, config.speech_length, extra_dims)
+    res = solver(problem, fs, config.speech_length)
     elapsed = time.perf_counter() - t0
     facts_json = json.dumps(
         [{"scope": dict(f.scope), "value": f.value} for f in res.facts]

@@ -84,3 +84,15 @@ class TestSamplingBaseline:
         fs = enumerate_facts(p)
         res = sampling_summary(p, fs, m=3, seed=9)
         assert 0.0 <= res.normalized <= 1.0 + 1e-9
+
+    def test_one_fact_problem(self):
+        """With no extra dimensions the only fact is the overall average;
+        it is committed without a rival to separate from."""
+        df = pd.DataFrame({"a": ["x"], "t": [7.0]})
+        p = Problem.from_pandas(df, ["a"], "t")
+        fs = enumerate_facts(p, max_extra_dims=0)
+        assert fs.n_facts == 1
+        res = sampling_summary(p, fs, m=2, seed=0)
+        assert res.extra["fact_ids"] == [0]
+        assert res.facts[0].scope == () and res.facts[0].value == 7.0
+        assert len(res.value_ranges) == 1

@@ -1,7 +1,11 @@
 """Unit tests for candidate-fact enumeration (Section III fact model)."""
+from itertools import combinations
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.facts import enumerate_facts
 from repro.core.model import Problem
@@ -120,3 +124,106 @@ class TestEnumeration:
         fs = enumerate_facts(p, max_extra_dims=2)
         # C(3,0)+C(3,1)+C(3,2) = 1+3+3 groups
         assert len(fs.groups) == 7
+
+
+# ---- differential test against a sort-based reference ------------------
+
+
+def reference_groups(problem, max_extra_dims):
+    """Facts per group as ``np.unique(axis=0)`` row sorts find them:
+    (dims, row_to_fact, fact_codes, fact_values, fact_counts)."""
+    n, d = problem.dim_matrix.shape
+    out = []
+    for size in range(max_extra_dims + 1):
+        for dims in combinations(range(d), size):
+            if size == 0:
+                inverse = np.zeros(n, dtype=np.int32)
+                uniques = np.zeros((1, 0), dtype=np.int32)
+            else:
+                uniques, inverse = np.unique(
+                    problem.dim_matrix[:, dims], axis=0, return_inverse=True
+                )
+                inverse = inverse.reshape(-1).astype(np.int32)
+                uniques = uniques.astype(np.int32)
+            k = uniques.shape[0]
+            sums = np.bincount(inverse, weights=problem.target, minlength=k)
+            counts = np.bincount(inverse, minlength=k).astype(np.int64)
+            out.append((dims, inverse, uniques, sums / counts, counts))
+    return out
+
+
+def coded_problem(codes, target):
+    """A problem built directly from a code matrix (codes need not be
+    dense: labels cover every code up to the column maximum)."""
+    codes = np.asarray(codes, dtype=np.int32)
+    d = codes.shape[1]
+    labels = [np.arange(int(codes[:, j].max()) + 1).astype(str) for j in range(d)]
+    return Problem([f"d{j}" for j in range(d)], codes, labels, target, prior=0.0)
+
+
+def assert_matches_reference(problem, max_extra_dims):
+    fs = enumerate_facts(problem, max_extra_dims=max_extra_dims)
+    ref = reference_groups(problem, max_extra_dims)
+    assert [g.dims for g in fs.groups] == [r[0] for r in ref]
+    for g, (_, row_to_fact, codes, values, counts) in zip(fs.groups, ref):
+        for got, want in [
+            (g.row_to_fact, row_to_fact),
+            (g.fact_codes, codes),
+            (g.fact_values, values),
+            (g.fact_counts, counts),
+        ]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), g.dims
+    assert fs.n_facts == sum(r[2].shape[0] for r in ref)
+
+
+@st.composite
+def coded_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        # a small set of codes per column; sparse sets such as {0, 7}
+        # leave gaps below the column maximum
+        values = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    target = draw(
+        st.lists(
+            st.floats(-100, 100, allow_nan=False, width=32), min_size=n, max_size=n
+        )
+    )
+    extra = draw(st.integers(0, d + 2))
+    return coded_problem(np.array(columns).T, np.array(target)), extra
+
+
+class TestAgainstSortReference:
+    @settings(max_examples=200, deadline=None)
+    @given(coded_problems())
+    def test_random_problems(self, case):
+        problem, extra = case
+        assert_matches_reference(problem, extra)
+
+    def test_one_row(self):
+        assert_matches_reference(coded_problem([[3, 0, 5]], [2.5]), 3)
+
+    def test_constant_columns(self):
+        codes = np.array([[4, 0, 1], [4, 0, 0], [4, 0, 1], [4, 0, 1]])
+        assert_matches_reference(coded_problem(codes, [1.0, 2.0, 3.0, 4.0]), 3)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3, 4, 6])
+    def test_extra_dims_range(self, grid_problem, extra):
+        # beyond n_dims the lattice simply ends at the full group
+        assert_matches_reference(grid_problem, extra)
+
+    def test_gapped_codes(self):
+        codes = np.array([[0, 7], [7, 0], [7, 7], [0, 7], [7, 0]])
+        problem = coded_problem(codes, np.arange(5.0))
+        fs = enumerate_facts(problem, max_extra_dims=2)
+        assert fs.groups[1].fact_codes.tolist() == [[0], [7]]
+        assert_matches_reference(problem, 2)
+
+    def test_three_dims_with_200_values(self):
+        rng = np.random.default_rng(11)
+        codes = rng.integers(0, 200, size=(3000, 3))
+        problem = coded_problem(codes, rng.normal(size=3000))
+        assert_matches_reference(problem, 3)

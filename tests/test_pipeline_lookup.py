@@ -105,3 +105,38 @@ class TestEdgeCases:
     def test_missing_columns_rejected(self):
         with pytest.raises(ValueError):
             SpeechIndex(pd.DataFrame({"query_key": [""]}))
+
+
+class TestAnswerFields:
+    """Full answers on the toy table, field by field and with their types."""
+
+    @pytest.mark.parametrize(
+        "target, predicates, want",
+        [
+            ("delay", {"season": "Winter"}, ("winter", {"season": "Winter"}, True, 1.0, 0.9)),
+            ("delay", {}, ("overall", {}, True, 1.0, 0.9)),
+            ("cancelled", {}, ("cancel-overall", {}, True, 2.0, 0.8)),
+            (
+                "delay",
+                {"airline": "AirA", "season": "Summer"},
+                ("aira", {"airline": "AirA"}, False, 1.0, 0.9),
+            ),
+            (
+                "delay",
+                {"airline": "AirA", "season": "Winter", "daytime": "am"},
+                ("aira-winter", {"airline": "AirA", "season": "Winter"}, False, 1.0, 0.9),
+            ),
+            (
+                "delay",
+                {"airline": "AirZ", "season": "Fall", "daytime": "am"},
+                ("overall", {}, False, 1.0, 0.9),
+            ),
+            ("cancelled", {"season": "Winter"}, ("cancel-overall", {}, False, 2.0, 0.8)),
+        ],
+    )
+    def test_exact_and_fallback_answers(self, index, target, predicates, want):
+        ans = index.query(target, predicates)
+        got = (ans.speech, ans.matched_predicates, ans.exact, ans.utility, ans.normalized)
+        assert got == want
+        assert type(ans.speech) is str and type(ans.exact) is bool
+        assert type(ans.utility) is float and type(ans.normalized) is float

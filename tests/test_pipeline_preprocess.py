@@ -10,6 +10,7 @@ from pyspark.sql import functions as sf
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
+from repro.pipeline import preprocess
 from repro.pipeline.config import Config, decode_key, encode_key
 from repro.pipeline.preprocess import preprocess_all, preprocess_target, solve_query_group
 from repro.pipeline.problems import count_queries, explode_queries
@@ -104,6 +105,37 @@ class TestSolveQueryGroup:
         out = solve_query_group(pdf, CFG, "delay", "G-B")
         assert out["n_rows"].iloc[0] == 60
         assert decode_key(out["query_key"].iloc[0]) == {}
+
+
+WINTER_FACTS_JSON = (
+    '[{"scope": {"daytime": "pm", "region": "South"}, "value": 21.84}, '
+    '{"scope": {"region": "North"}, "value": 36.5375}]'
+)
+WINTER_SPEECH = (
+    "About delay for season Winter: The average delay is 21.8 for daytime pm, "
+    "region South. It is 36.5 for region North."
+)
+
+
+@pytest.mark.parametrize("method", ["E", "G-B", "G-P", "G-O"])
+def test_each_problem_enumerated_once(monkeypatch, method):
+    """The solver reuses the fact set built for ``n_facts``; the speech
+    row is the same as when every problem was enumerated twice."""
+    calls = []
+
+    def counting(problem, max_extra_dims=2):
+        calls.append(max_extra_dims)
+        return enumerate_facts(problem, max_extra_dims=max_extra_dims)
+
+    monkeypatch.setattr(preprocess, "enumerate_facts", counting)
+    pdf = toy_pdf()
+    sub = pdf[pdf["season"] == "Winter"].copy()
+    sub["query_key"] = encode_key({"season": "Winter"})
+    out = solve_query_group(sub, CFG, "delay", method)
+    assert calls == [2]
+    assert out["n_facts"].iloc[0] == 15
+    assert out["facts_json"].iloc[0] == WINTER_FACTS_JSON
+    assert out["speech"].iloc[0] == WINTER_SPEECH
 
 
 class TestBatchJob:
