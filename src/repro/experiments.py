@@ -18,13 +18,10 @@ from pyspark.sql import SparkSession
 from . import datasets as ds
 from .baseline.sampling import sampling_summary
 from .core.facts import enumerate_facts
-from .core.greedy import greedy_summary
-from .core.model import Problem
-from .core.planner import opt_prune
-from .core.pruning import naive_plan
 from .pipeline.config import Config, decode_key
 from .pipeline.lookup import SpeechIndex
-from .pipeline.preprocess import preprocess_target
+from .pipeline.preprocess import preprocess_target, solve_queries
+from .pipeline.problems import build_plan
 
 # ---------------------------------------------------------------- Fig. 3
 
@@ -233,16 +230,13 @@ def run_fig10(
             assert ans is not None
         lookup_ms = (time.perf_counter() - t0) / len(probe) * 1e3
 
+        plan = build_plan(pdf_full, config, (target,))
+        queries = {q.key: q for q in plan.queries}
         lat, tot = [], []
         for key in probe:
-            preds = decode_key(key)
-            mask = pd.Series(True, index=pdf_full.index)
-            for d, v in preds.items():
-                mask &= pdf_full[d].astype(str) == v
-            sub = pdf_full[mask]
-            free = [d for d in config.dims if d not in preds]
-            problem = Problem.from_pandas(sub, free, target)
-            fs = enumerate_facts(problem, min(2, len(free)))
+            q = queries[key]
+            problem = plan.problem(q, target)
+            fs = enumerate_facts(problem, plan.extra_dims(q))
             res = sampling_summary(problem, fs, m=config.speech_length, seed=seed)
             lat.append(res.latency_seconds * 1e3)
             tot.append(res.total_seconds * 1e3)
@@ -296,25 +290,7 @@ def solve_problems_locally(
     exact_timeout: float | None = None,
 ) -> pd.DataFrame:
     """Single-process equivalent of the batch job (used by benchmarks to
-    time solver work without Spark scheduling noise)."""
-    from .pipeline.config import encode_key
-    from .pipeline.preprocess import solve_query_group
-    from itertools import combinations
-
-    outs = []
-    for size in range(0, config.max_query_len + 1):
-        for subset in combinations(config.dims, size):
-            if size == 0:
-                groups = [((), pdf)]
-            else:
-                groups = list(pdf.groupby(list(subset)))
-            for key_vals, sub in groups:
-                if size == 1:
-                    key_vals = (key_vals,) if not isinstance(key_vals, tuple) else key_vals
-                preds = dict(zip(subset, map(str, key_vals))) if size else {}
-                sub = sub.copy()
-                sub["query_key"] = encode_key(preds)
-                outs.append(
-                    solve_query_group(sub, config, target, method, exact_timeout)
-                )
-    return pd.concat(outs, ignore_index=True)
+    time solver work without Spark scheduling noise): the same query
+    plan and per-query solve function as the Spark tasks."""
+    plan = build_plan(pdf, config, (target,))
+    return solve_queries(plan, plan.queries, (target,), method, exact_timeout)

@@ -8,10 +8,11 @@ query's subset is used: predicates ``S`` with ``S ⊆ Q`` maximizing
 ``|S ∩ Q|`` (= ``|S|`` given containment).
 
 Because stored subsets are themselves predicate sets, the fallback is a
-walk over the subsets of ``Q`` from largest to smallest — at most
-``2^|Q|`` dictionary probes, microseconds for voice-sized queries. This
-is the entire run-time cost of the paper's approach (Figure 10's
-near-zero latency bar).
+walk over the subsets of ``Q`` from largest to smallest, starting at the
+longest stored key (``L``) — at most ``Σ_{l≤L} C(|Q|, l)`` dictionary
+probes, microseconds for voice-sized queries. This is the entire
+run-time cost of the paper's approach (Figure 10's near-zero latency
+bar).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from itertools import combinations
 
 import pandas as pd
 
-from .config import encode_key
+from .config import KEY_SEP, KV_SEP
 
 
 @dataclass
@@ -56,6 +57,11 @@ class SpeechIndex:
                 float(utility),
                 float(normalized),
             )
+        # longest stored key per target: the fallback walk starts there
+        self._max_len = {
+            t: max(k.count(KEY_SEP) + 1 if k else 0 for k in keys)
+            for t, keys in self._by_target.items()
+        }
 
     @property
     def targets(self) -> list[str]:
@@ -69,17 +75,18 @@ class SpeechIndex:
         table = self._by_target.get(target)
         if table is None:
             return None
-        preds = {d: str(v) for d, v in predicates.items()}
-        items = sorted(preds.items())
-        for size in range(len(items), -1, -1):
+        # (dim, value, "dim=value") sorted by dim: joining the parts of
+        # any subset in this order gives its canonical key
+        items = sorted([(d, str(v), d + KV_SEP + str(v)) for d, v in predicates.items()])
+        for size in range(min(len(items), self._max_len[target]), -1, -1):
             # deterministic order over equally-specific subsets
             for subset in combinations(items, size):
-                hit = table.get(encode_key(dict(subset)))
+                hit = table.get(KEY_SEP.join([part for _, _, part in subset]))
                 if hit is not None:
                     speech, utility, normalized = hit
                     return Answer(
                         speech=speech,
-                        matched_predicates=dict(subset),
+                        matched_predicates={d: v for d, v, _ in subset},
                         exact=(size == len(items)),
                         utility=utility,
                         normalized=normalized,

@@ -2,14 +2,17 @@
 
 For every (target, query) pair the stage solves one speech
 summarization problem and materializes the resulting speech. The whole
-stage is a single distributed DataFrame job per target column:
+stage is one Spark job for all targets:
 
-1. :func:`repro.pipeline.problems.explode_queries` replicates each data
-   row into every query subset it belongs to;
-2. ``groupBy(query_key).applyInPandas`` ships each query's data subset
-   to an executor, where the per-problem solver (greedy G-B/G-P/G-O or
-   exact E from :mod:`repro.core`) selects the fact set and renders the
-   speech text;
+1. the driver collects the dimension and target columns once and builds
+   the :class:`~repro.pipeline.problems.QueryPlan`: each dimension
+   dictionary-encoded once, every query with the indices of its rows;
+2. the plan is broadcast, and ``k = defaultParallelism`` tasks of a
+   ``mapInPandas`` job each solve every ``k``-th query (the plan lists
+   queries by decreasing row count) for every target, with the
+   per-problem solver (greedy G-B/G-P/G-O or exact E from
+   :mod:`repro.core`), and render the speech text. No row is
+   replicated or shuffled, and each task makes one call into Python;
 3. the resulting speeches table is written as Parquet, partitioned by
    target — the run-time component answers voice queries by lookup.
 
@@ -42,8 +45,8 @@ from ..core.model import Problem, SpeechResult
 from ..core.planner import opt_prune
 from ..core.pruning import naive_plan
 from ..core.speech import render_speech
-from .config import Config, decode_key
-from .problems import explode_queries
+from .config import Config
+from .problems import Query, QueryPlan, build_plan
 
 RESULT_SCHEMA = StructType(
     [
@@ -85,48 +88,74 @@ def make_solver(
     return solve
 
 
-def solve_query_group(
-    pdf: pd.DataFrame,
-    config: Config,
+def solve_query(
+    plan: QueryPlan,
+    query: Query,
     target: str,
-    method: str,
-    exact_timeout: float | None = None,
-) -> pd.DataFrame:
-    """Solve one query's summarization problem (runs on executors)."""
-    key = pdf["query_key"].iloc[0]
-    fixed = decode_key(key)
-    free_dims = [d for d in config.dims if d not in fixed]
+    solve: Callable[[Problem, FactSet, int], SpeechResult],
+) -> dict:
+    """Solve one (target, query) problem; returns its speech-table row."""
     t0 = time.perf_counter()
-    if free_dims:
-        problem = Problem.from_pandas(pdf, free_dims, target)
-    else:  # fully-specified query: only the overall-average fact exists
-        problem = Problem.from_pandas(pdf, [config.dims[0]], target)
-    extra_dims = min(config.max_extra_dims, len(free_dims))
-    fs = enumerate_facts(problem, max_extra_dims=extra_dims)
-    solver = make_solver(method, exact_timeout=exact_timeout)
-    res = solver(problem, fs, config.speech_length)
+    problem = plan.problem(query, target)
+    fs = enumerate_facts(problem, max_extra_dims=plan.extra_dims(query))
+    res = solve(problem, fs, plan.config.speech_length)
     elapsed = time.perf_counter() - t0
     facts_json = json.dumps(
         [{"scope": dict(f.scope), "value": f.value} for f in res.facts]
     )
-    speech = render_speech(res.facts, target, fixed)
-    return pd.DataFrame(
-        [
-            {
-                "query_key": key,
-                "target": target,
-                "n_rows": len(pdf),
-                "n_facts": fs.n_facts,
-                "prior": problem.prior,
-                "utility": res.utility,
-                "normalized": res.normalized,
-                "rows_processed": res.rows_processed,
-                "solve_seconds": elapsed,
-                "facts_json": facts_json,
-                "speech": speech,
-            }
-        ]
-    )
+    return {
+        "query_key": query.key,
+        "target": target,
+        "n_rows": problem.n_rows,
+        "n_facts": fs.n_facts,
+        "prior": problem.prior,
+        "utility": res.utility,
+        "normalized": res.normalized,
+        "rows_processed": res.rows_processed,
+        "solve_seconds": elapsed,
+        "facts_json": facts_json,
+        "speech": render_speech(res.facts, target, query.predicates),
+    }
+
+
+def solve_queries(
+    plan: QueryPlan,
+    queries: list[Query],
+    targets: tuple[str, ...],
+    method: str,
+    exact_timeout: float | None = None,
+) -> pd.DataFrame:
+    """Speech-table rows of ``queries`` for every target, in one frame."""
+    solve = make_solver(method, exact_timeout=exact_timeout)
+    rows = [solve_query(plan, q, t, solve) for q in queries for t in targets]
+    return pd.DataFrame(rows, columns=RESULT_SCHEMA.fieldNames())
+
+
+def _solve_job(
+    spark: SparkSession,
+    data: DataFrame,
+    config: Config,
+    targets: tuple[str, ...],
+    method: str,
+    exact_timeout: float | None,
+) -> DataFrame:
+    """One job solving every query of ``targets``: task ``i`` of ``k``
+    solves the plan's queries ``i, i + k, …``."""
+    frame = data.select(
+        *[sf.col(d).cast("string").alias(d) for d in config.dims],
+        *[sf.col(t).cast("double").alias(t) for t in targets],
+    ).toPandas()
+    shared = spark.sparkContext.broadcast(build_plan(frame, config, targets))
+    k = spark.sparkContext.defaultParallelism
+
+    def solve_tasks(batches):
+        plan = shared.value
+        for batch in batches:
+            for i in batch["id"].tolist():
+                if i < len(plan.queries):  # else: no query, no rows
+                    yield solve_queries(plan, plan.queries[i::k], targets, method, exact_timeout)
+
+    return spark.range(0, k, 1, numPartitions=k).mapInPandas(solve_tasks, schema=RESULT_SCHEMA)
 
 
 def preprocess_target(
@@ -138,12 +167,7 @@ def preprocess_target(
     exact_timeout: float | None = None,
 ) -> DataFrame:
     """The batch job for one target column: speeches for all queries."""
-    exploded = explode_queries(data, config, target)
-
-    def _solve(pdf: pd.DataFrame) -> pd.DataFrame:
-        return solve_query_group(pdf, config, target, method, exact_timeout)
-
-    return exploded.groupBy("query_key").applyInPandas(_solve, schema=RESULT_SCHEMA)
+    return _solve_job(spark, data, config, (target,), method, exact_timeout)
 
 
 def preprocess_all(
@@ -153,12 +177,10 @@ def preprocess_all(
     method: str = "G-O",
     output_path: str | None = None,
 ) -> DataFrame:
-    """Run the batch stage for every target; optionally materialize to
-    Parquet (partitioned by target) for the run-time lookup."""
-    out = None
-    for target in config.targets:
-        part = preprocess_target(spark, data, config, target, method)
-        out = part if out is None else out.unionByName(part)
+    """Run the batch stage for every target in one job; optionally
+    materialize to Parquet (partitioned by target) for the run-time
+    lookup."""
+    out = _solve_job(spark, data, config, config.targets, method, None)
     if output_path is not None:
         out.write.mode("overwrite").partitionBy("target").parquet(output_path)
         out = spark.read.parquet(output_path)

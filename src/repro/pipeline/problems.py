@@ -5,22 +5,119 @@ pair, where a query is a conjunction of up to ``max_query_len`` equality
 predicates on the dimension columns, over all value combinations that
 appear in the data.
 
-The generator works by *exploding* the data: each row is replicated
-once per dimension subset of size ≤ L it can instantiate, tagged with
-the canonical query key of its own values on that subset. Grouping the
-exploded frame by query key yields exactly the data subset of each
-query — this is the shuffle that fans the per-query solver across the
-cluster in :mod:`repro.pipeline.preprocess`.
+:func:`build_plan` is the one query generator of the program. It
+dictionary-encodes each dimension once (codes in sorted-label order)
+and lists every query with the indices of its rows, in input order.
+:meth:`QueryPlan.problem` cuts a query's problem out of those codes, so
+no query re-encodes its subset. The Spark job in
+:mod:`repro.pipeline.preprocess`, the local solve loop and the Figure 10
+baseline all solve the queries of one plan.
+
+:func:`explode_queries` states the same query set relationally: each row
+replicated into every dimension subset of size ≤ L, tagged with its
+query key. It defines :func:`count_queries` and serves as a reference;
+the pipeline does not run it.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
-from .config import Config, KEY_SEP, KV_SEP
+from ..core.model import Problem
+from .config import Config, KEY_SEP, KV_SEP, encode_key
+
+
+@dataclass(frozen=True)
+class Query:
+    """One query: its canonical key, predicates and row indices."""
+
+    key: str
+    predicates: dict[str, str]
+    rows: np.ndarray  # indices into the plan's rows, ascending
+
+
+@dataclass
+class QueryPlan:
+    """The integer-coded input table and every query over it.
+
+    ``codes[i, j]`` is the code of row ``i`` in dimension ``j``;
+    ``labels[j][c]`` is the value of code ``c``. Codes follow the sorted
+    labels, so every problem's facts come out in label order."""
+
+    config: Config
+    codes: np.ndarray  # (n, d) int32
+    labels: list[np.ndarray]
+    targets: dict[str, np.ndarray]  # target name -> (n,) float64
+    queries: list[Query]  # by decreasing row count
+
+    def problem(self, query: Query, target: str) -> Problem:
+        """The query's summarization problem over its free dimensions,
+        with the mean target value of its rows as the prior. A fully
+        specified query has only the overall-average fact: its problem
+        keeps the first dimension, and :meth:`extra_dims` is 0."""
+        dims = self.config.dims
+        free = [j for j, d in enumerate(dims) if d not in query.predicates] or [0]
+        y = self.targets[target][query.rows]
+        return Problem(
+            dim_names=[dims[j] for j in free],
+            dim_matrix=self.codes[np.ix_(query.rows, free)],
+            dim_labels=[self.labels[j] for j in free],
+            target=y,
+            prior=float(np.mean(y)),
+            target_name=target,
+        )
+
+    def extra_dims(self, query: Query) -> int:
+        """How many dimensions a fact may restrict beyond the query."""
+        n_free = len(self.config.dims) - len(query.predicates)
+        return min(self.config.max_extra_dims, n_free)
+
+
+def _check_separators(what: str, value: str) -> None:
+    if KEY_SEP in value or KV_SEP in value:
+        raise ValueError(f"{what} contains {KEY_SEP!r} or {KV_SEP!r}, the query-key separators")
+
+
+def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) -> QueryPlan:
+    """Encode ``frame`` and list every query of ``config`` over it.
+
+    Raises ``ValueError``, naming the column, on a NULL dimension value,
+    a NULL or NaN target, or a query-key separator (``|`` or ``=``) in a
+    dimension name or value: such rows have no well-defined query key
+    or utility."""
+    dims = list(config.dims)
+    for d in dims:
+        _check_separators(f"dimension name {d!r}", d)
+        if frame[d].isna().any():
+            raise ValueError(f"dimension column {d!r} has NULL values")
+    ys = {}
+    for t in targets:
+        ys[t] = frame[t].to_numpy(dtype=np.float64)
+        if np.isnan(ys[t]).any():
+            raise ValueError(f"target column {t!r} has NULL or NaN values")
+    strs = frame[dims].astype(str)
+    codes = np.empty(strs.shape, dtype=np.int32)
+    labels = []
+    for j, d in enumerate(dims):
+        codes[:, j], uniques = pd.factorize(strs[d], sort=True)
+        for v in uniques:
+            _check_separators(f"dimension column {d!r} value {v!r}", v)
+        labels.append(np.asarray(uniques))
+
+    queries = [Query("", {}, np.arange(len(strs)))] if len(strs) else []
+    for size in range(1, config.max_query_len + 1):
+        for subset in combinations(dims, size):
+            for vals, rows in strs.groupby(list(subset), sort=True).indices.items():
+                preds = dict(zip(subset, vals if isinstance(vals, tuple) else (vals,)))
+                queries.append(Query(encode_key(preds), preds, rows))
+    queries.sort(key=lambda q: -len(q.rows))
+    return QueryPlan(config=config, codes=codes, labels=labels, targets=ys, queries=queries)
 
 
 def _key_expr(subset: tuple[str, ...]):

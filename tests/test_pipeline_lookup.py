@@ -1,9 +1,12 @@
 """Tests for the run-time most-specific-subset speech lookup."""
+from itertools import combinations
+
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.pipeline.config import encode_key
-from repro.pipeline.lookup import SpeechIndex
+from repro.pipeline.lookup import Answer, SpeechIndex
 
 
 def make_table():
@@ -140,3 +143,48 @@ class TestAnswerFields:
         assert got == want
         assert type(ans.speech) is str and type(ans.exact) is bool
         assert type(ans.utility) is float and type(ans.normalized) is float
+
+
+def reference_query(index, target, predicates):
+    """The uncapped walk: every subset of the query from |Q| predicates
+    down, keys built by ``encode_key``."""
+    table = index._by_target.get(target)
+    if table is None:
+        return None
+    items = sorted({d: str(v) for d, v in predicates.items()}.items())
+    for size in range(len(items), -1, -1):
+        for subset in combinations(items, size):
+            hit = table.get(encode_key(dict(subset)))
+            if hit is not None:
+                speech, utility, normalized = hit
+                return Answer(speech, dict(subset), size == len(items), utility, normalized)
+    return None
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3])
+def test_capped_walk_matches_full_walk(max_len):
+    """Starting the walk at the longest stored key changes no answer, on
+    random tables (some without the whole-table key) and random probes
+    of 0-4 predicates, some with values that are not stored."""
+    rng = np.random.default_rng(max_len)
+    dims = ["a", "b", "c", "d", "e"]
+    for _ in range(20):
+        rows = []
+        for target in ("t1", "t2"):
+            for size in range(max_len + 1):
+                for subset in combinations(dims, size):
+                    for _ in range(int(rng.integers(0, 4))):
+                        preds = {d: f"v{rng.integers(3)}" for d in subset}
+                        rows.append((encode_key(preds), target))
+        rows.append(("", "t1"))
+        table = pd.DataFrame(rows, columns=["query_key", "target"]).drop_duplicates()
+        table["speech"] = [f"s{i}" for i in range(len(table))]
+        table["utility"] = rng.random(len(table))
+        table["normalized"] = rng.random(len(table))
+        index = SpeechIndex(table)
+        for _ in range(50):
+            target = ("t1", "t2", "t3")[int(rng.integers(3))]
+            size = int(rng.integers(0, 5))
+            cols = rng.choice(len(dims), size, replace=False)
+            probe = {dims[c]: f"v{rng.integers(4)}" for c in cols}
+            assert index.query(target, probe) == reference_query(index, target, probe)

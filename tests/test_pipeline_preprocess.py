@@ -1,6 +1,7 @@
 """Integration tests for the Problem Generator and the batch
 pre-processing job — the distributed heart of the reproduction."""
 import json
+import re
 
 import numpy as np
 import pandas as pd
@@ -12,8 +13,10 @@ from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
 from repro.pipeline import preprocess
 from repro.pipeline.config import Config, decode_key, encode_key
-from repro.pipeline.preprocess import preprocess_all, preprocess_target, solve_query_group
-from repro.pipeline.problems import count_queries, explode_queries
+from repro.experiments import solve_problems_locally
+from repro.pipeline import problems
+from repro.pipeline.preprocess import preprocess_all, preprocess_target, solve_queries
+from repro.pipeline.problems import build_plan, count_queries, explode_queries
 
 
 def toy_pdf():
@@ -71,12 +74,19 @@ class TestProblemGenerator:
         assert exploded.count() == 60 * 4  # 1 + 3 subsets
 
 
+def solve_one(pdf, predicates, method):
+    """The speech row of one query of ``pdf``, solved as a Spark task
+    solves it: from the query plan, by the per-query solve function."""
+    plan = build_plan(pdf, CFG, ("delay",))
+    query = next(q for q in plan.queries if q.predicates == predicates)
+    return solve_queries(plan, [query], ("delay",), method)
+
+
 class TestSolveQueryGroup:
     def test_matches_local_greedy(self):
         pdf = toy_pdf()
         sub = pdf[pdf["season"] == "Winter"].copy()
-        sub["query_key"] = encode_key({"season": "Winter"})
-        out = solve_query_group(sub, CFG, "delay", "G-B")
+        out = solve_one(pdf, {"season": "Winter"}, "G-B")
         assert len(out) == 1
         # reference: greedy over the same subset with season removed
         p = Problem.from_pandas(sub, ["region", "daytime"], "delay")
@@ -84,25 +94,17 @@ class TestSolveQueryGroup:
         assert out["utility"].iloc[0] == pytest.approx(ref.utility)
 
     def test_facts_exclude_query_dims(self):
-        pdf = toy_pdf()
-        sub = pdf[pdf["season"] == "Winter"].copy()
-        sub["query_key"] = encode_key({"season": "Winter"})
-        out = solve_query_group(sub, CFG, "delay", "G-B")
+        out = solve_one(toy_pdf(), {"season": "Winter"}, "G-B")
         facts = json.loads(out["facts_json"].iloc[0])
         for f in facts:
             assert "season" not in f["scope"]
 
     def test_speech_prefixed_with_subset(self):
-        pdf = toy_pdf()
-        sub = pdf[pdf["season"] == "Winter"].copy()
-        sub["query_key"] = encode_key({"season": "Winter"})
-        out = solve_query_group(sub, CFG, "delay", "G-O")
+        out = solve_one(toy_pdf(), {"season": "Winter"}, "G-O")
         assert out["speech"].iloc[0].startswith("About delay for season Winter:")
 
     def test_whole_table_query(self):
-        pdf = toy_pdf().copy()
-        pdf["query_key"] = ""
-        out = solve_query_group(pdf, CFG, "delay", "G-B")
+        out = solve_one(toy_pdf(), {}, "G-B")
         assert out["n_rows"].iloc[0] == 60
         assert decode_key(out["query_key"].iloc[0]) == {}
 
@@ -128,10 +130,7 @@ def test_each_problem_enumerated_once(monkeypatch, method):
         return enumerate_facts(problem, max_extra_dims=max_extra_dims)
 
     monkeypatch.setattr(preprocess, "enumerate_facts", counting)
-    pdf = toy_pdf()
-    sub = pdf[pdf["season"] == "Winter"].copy()
-    sub["query_key"] = encode_key({"season": "Winter"})
-    out = solve_query_group(sub, CFG, "delay", method)
+    out = solve_one(toy_pdf(), {"season": "Winter"}, method)
     assert calls == [2]
     assert out["n_facts"].iloc[0] == 15
     assert out["facts_json"].iloc[0] == WINTER_FACTS_JSON
@@ -200,3 +199,78 @@ class TestBatchJob:
                 base, utils[m].sort_index(), check_exact=False, rtol=1e-9
             )
         assert (utils["E"].sort_index() >= base - 1e-6).all()
+
+
+def two_target_pdf():
+    pdf = toy_pdf()
+    pdf["cancelled"] = (np.random.default_rng(9).random(len(pdf)) < 0.2).astype(float)
+    return pdf
+
+
+class TestOneSolvePath:
+    """The Spark job and the local loop solve the same query plan with
+    the same per-query function, so their tables are equal."""
+
+    @pytest.mark.parametrize("max_query_len", [0, 1, 2])
+    def test_spark_equals_local(self, spark, monkeypatch, max_query_len):
+        def no_explode(*args, **kwargs):
+            raise AssertionError("explode_queries is not on the pipeline path")
+
+        monkeypatch.setattr(problems, "explode_queries", no_explode)
+        pdf = two_target_pdf()
+        cfg = Config(
+            dims=CFG.dims,
+            targets=("delay", "cancelled"),
+            max_query_len=max_query_len,
+            speech_length=2,
+        )
+        order = ["target", "query_key"]
+        dist = preprocess_all(spark, spark.createDataFrame(pdf), cfg).toPandas()
+        local = pd.concat(
+            [solve_problems_locally(pdf, cfg, t, "G-O") for t in cfg.targets]
+        )
+        assert len(dist) == len(local) > 0
+        pd.testing.assert_frame_equal(
+            dist.drop(columns="solve_seconds").sort_values(order).reset_index(drop=True),
+            local.drop(columns="solve_seconds").sort_values(order).reset_index(drop=True),
+            check_exact=True,
+        )
+
+
+class TestHostileInputs:
+    """Inputs without a well-defined query key or utility are rejected,
+    naming the column, before any speech is solved."""
+
+    SCHEMA = "region string, season string, daytime string, delay double"
+    ROWS = [("North", "Winter", "am", 10.0), ("South", "Summer", "pm", 20.0)]
+
+    def run(self, spark, rows, cfg=CFG, schema=SCHEMA):
+        preprocess_all(spark, spark.createDataFrame(rows, schema), cfg)
+
+    def test_null_dimension_value(self, spark):
+        rows = self.ROWS + [("East", None, "am", 5.0)]
+        with pytest.raises(ValueError, match="'season' has NULL"):
+            self.run(spark, rows)
+
+    def test_null_target(self, spark):
+        rows = self.ROWS + [("East", "Winter", "am", None)]
+        with pytest.raises(ValueError, match="'delay' has NULL or NaN"):
+            self.run(spark, rows)
+
+    def test_nan_target(self, spark):
+        rows = self.ROWS + [("East", "Winter", "am", float("nan"))]
+        with pytest.raises(ValueError, match="'delay' has NULL or NaN"):
+            self.run(spark, rows)
+
+    @pytest.mark.parametrize("name", ["day|time", "day=time"])
+    def test_separator_in_dimension_name(self, spark, name):
+        cfg = Config(dims=("region", "season", name), targets=("delay",))
+        schema = f"region string, season string, `{name}` string, delay double"
+        with pytest.raises(ValueError, match=re.escape(f"dimension name '{name}'")):
+            self.run(spark, self.ROWS, cfg, schema)
+
+    @pytest.mark.parametrize("value", ["a|m", "a=m"])
+    def test_separator_in_dimension_value(self, spark, value):
+        rows = self.ROWS + [("East", "Winter", value, 5.0)]
+        with pytest.raises(ValueError, match="dimension column 'daytime' value"):
+            self.run(spark, rows)
