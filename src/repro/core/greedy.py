@@ -35,12 +35,9 @@ def greedy_summary(
     n = problem.n_rows
     for _ in range(m):
         if plan is None:
-            gains = np.empty(factset.n_facts, dtype=np.float64)
-            for g, grp in enumerate(factset.groups):
-                lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-                gains[lo:hi] = U.group_gains(dev, problem.target, grp)
-                rows_processed += n
-                facts_evaluated += grp.n_facts
+            gains = U.all_gains(dev, problem.target, factset)
+            rows_processed += n * len(factset.groups)
+            facts_evaluated += factset.n_facts
         else:
             gains, stats = pruned_gains(dev, problem.target, factset, plan)
             rows_processed += stats.rows_processed

@@ -1,109 +1,121 @@
-"""Algorithm 4 + OPTPRUNE — cost-based pruning-plan selection (§VI-D).
+"""OPTPRUNE — cost-based pruning-plan selection (Sections VI-C and VI-D).
 
-Candidate sources are prefixes of the fact groups sorted by ascending
-member count M(g) (the pseudo-code's condition "no group outside S has
-fewer facts than a group inside S" — groups with few facts cover more
-rows each and so promise higher per-fact utility). For each source set,
-targets are chosen greedily by the heuristic
+Estimated cost of one greedy iteration of Algorithm 3 under plan
+``<S, T>`` (Section VI-C):
+
+    Σ_{s∈S} C_U(s)  +  Σ_{t∈T} C_D(t)  +  Σ_{g∉S} Pr(¬P_g)·C_U(g)
+
+``C_U(g)`` is the cost of the fact join + aggregation computing the
+utilities of group ``g``; ``C_D(g)`` the cost of the join-free group-by
+computing its gain bounds. The paper reads both from the Postgres
+optimizer, where a join is far more expensive than a scan. Here both
+are NumPy kernels and the gain kernel does ~3x the per-row work of the
+bound kernel, so ``C_U(g) = n + M(g)`` and
+``C_D(g) = BOUND_COST_RATIO·n`` in the same units.
+
+``Pr(P_{s→t})``, the probability that source ``s`` prunes target ``t``,
+follows the paper's normal approximation: per-fact utility is a sum of
+i.i.d. per-row contributions over rows assumed uniform across dimension
+values, so a group's per-fact mean scales as ``1/M(g)`` with fixed
+variance ``σ²``. The paper further assumes the *bound* of a target
+follows the distribution of a *gain*; the bound (total deviation in
+scope) upper-bounds the gain, so the target mean is scaled by
+``BOUND_SCALE ≥ 1`` (1 recovers the paper's formula):
+
+    Pr(P_{s→t}) = Φ( (1/M(s) - BOUND_SCALE/M(t)) / (σ·√2) )
+
+A group ``g`` survives (``¬P_g``) unless some source prunes some target
+whose dimensions it contains; the pairs are taken as independent.
+
+Algorithm 4 generates the candidates. Sources are prefixes of
+:func:`~repro.core.pruning.source_order` (ascending member count M(g):
+the pseudo-code's condition "no group outside S has fewer facts than a
+group inside S"). For each source set, targets are chosen greedily by
 
     H(t, S, L) = Pr(P_t) · |{l ∈ L : t ⊆ l}|
 
-— the expected number of groups eliminated by bounding target ``t`` —
-and each ⟨S, T-prefix⟩ becomes a plan candidate. The trivial plan
-⟨all groups, ∅⟩ (no pruning at all, i.e. plain G-B behaviour) is always
-a candidate, so the optimizer can decide pruning does not pay off.
-OPTPRUNE returns the candidate with minimal estimated cost under the
-Section VI-C cost model.
-
-The enumeration is vectorized: because sources are prefixes of one
-fixed order, the per-target log-survival terms are cumulative sums, and
-each plan's cost reduces to a small matrix product — the optimizer runs
-once per summarization problem and must stay far below solve time.
+— the expected number of groups eliminated by bounding ``t`` — and each
+⟨S, T-prefix⟩ is a candidate. The trivial plan ⟨all groups, ∅⟩ (plain
+G-B) is always a candidate, so the optimizer can decide pruning does not
+pay. OPTPRUNE returns the first candidate of minimal estimated cost.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .cost import CostModel
 from .facts import FactSet
-from .pruning import PruningPlan
+from .pruning import PruningPlan, source_order
 
-
-def _source_order(factset: FactSet) -> list[int]:
-    groups = factset.groups
-    return sorted(range(len(groups)), key=lambda g: (groups[g].n_facts, groups[g].dims))
-
-
-def candidate_plans(factset: FactSet, cost_model: CostModel) -> list[PruningPlan]:
-    """Enumerate plan candidates per Algorithm 4."""
-    order = _source_order(factset)
-    k = len(order)
-    contains = cost_model.contains  # [t, g] boolean
-    # cum[i-1, t] = Σ_{s in first i sources} log(1 - P[s, t])
-    cum = np.cumsum(cost_model._log1mP[order, :], axis=0)
-    plans: list[PruningPlan] = [PruningPlan(sources=tuple(order), targets=())]
-    for i in range(1, k):
-        S = tuple(order[:i])
-        p_t = 1.0 - np.exp(cum[i - 1])  # Pr(P_t) for every group as target
-        alive = np.zeros(k, dtype=bool)
-        alive[order[i:]] = True
-        T: list[int] = []
-        while alive.any():
-            # H(t, S, L) = Pr(P_t) · |{l ∈ L : t ⊆ l}| over alive t
-            counts = (contains & alive[None, :]).sum(axis=1)
-            h = np.where(alive, p_t * counts, -np.inf)
-            t = int(np.argmax(h))
-            T.append(t)
-            plans.append(PruningPlan(sources=S, targets=tuple(T)))
-            alive &= ~contains[t]
-    return plans
-
-
-#: Plan search is itself a cost (~ hundreds of candidate evaluations).
+#: Standard deviation of a per-fact utility in the normal approximation.
+SIGMA = 0.5
+#: Factor by which a target's gain bound is taken to exceed a gain, in
+#: means (1 recovers the paper's formula).
+BOUND_SCALE = 3.0
+#: Per-row cost of a bound scan relative to a gain (utility) scan.
+BOUND_COST_RATIO = 0.35
+#: Plan search is itself a cost (hundreds of candidate evaluations).
 #: Below this much estimated no-pruning work (row-units per greedy
 #: iteration) pruning cannot recoup the optimizer's own overhead, so
 #: OPTPRUNE short-circuits to the trivial plan — the same cost-based
 #: reasoning of Section VI applied to the optimizer itself.
-PLANNING_THRESHOLD = 250_000.0
+PLANNING_THRESHOLD = 250_000
+
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def opt_prune(
-    factset: FactSet,
-    sigma: float = 0.5,
-    bound_scale: float = 3.0,
-    planning_threshold: float = PLANNING_THRESHOLD,
-) -> PruningPlan:
+def prune_probability(m_source, m_target, sigma: float, bound_scale: float = 1.0):
+    """``Pr(P_{s→t})`` for source/target groups with ``M(s)``/``M(t)``
+    facts (Section VI-C's two-normal comparison). Broadcasts over
+    arrays of member counts."""
+    inv_s = 1.0 / np.asarray(m_source, dtype=np.float64)
+    inv_t = 1.0 / np.asarray(m_target, dtype=np.float64)
+    z = (inv_s - bound_scale * inv_t) / (sigma * math.sqrt(2.0))
+    return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
+
+
+def opt_prune(factset: FactSet) -> PruningPlan:
     """OPTPRUNE: the minimum-estimated-cost plan among the candidates
     generated by Algorithm 4 (this is what makes variant G-O)."""
-    n = factset.problem.n_rows
-    trivial_work = sum(n + g.n_facts for g in factset.groups)
-    if trivial_work < planning_threshold:
-        order = _source_order(factset)
+    order = source_order(factset)
+    groups = factset.groups
+    n, k = factset.problem.n_rows, len(groups)
+    best_cost = sum(n + g.n_facts for g in groups)  # the trivial plan's cost
+    if best_cost < PLANNING_THRESHOLD:
         return PruningPlan(sources=tuple(order), targets=())
-    cm = CostModel(factset, sigma=sigma, bound_scale=bound_scale)
-    order = _source_order(factset)
-    k = len(order)
-    cum = np.cumsum(cm._log1mP[order, :], axis=0)
-    cu, cd = cm._cu, cm._cd
-    contains_f = cm.contains.astype(float)
-
-    best_plan = PruningPlan(sources=tuple(order), targets=())
-    best_cost = cm.plan_cost(best_plan)
-    for plan in candidate_plans(factset, cm):
-        if not plan.targets:
-            continue
-        i = len(plan.sources)
-        T = np.fromiter(plan.targets, dtype=int)
-        w = cum[i - 1, T]
-        log_surv = contains_f[T].T @ w
-        surv = np.exp(log_surv)
-        mask = np.ones(k, dtype=bool)
-        mask[list(plan.sources)] = False
-        cost = (
-            float(cu[list(plan.sources)].sum())
-            + float(cd[T].sum())
-            + float((surv[mask] * cu[mask]).sum())
-        )
-        if cost < best_cost - 1e-12:
-            best_cost, best_plan = cost, plan
-    return best_plan
+    m = np.array([g.n_facts for g in groups], dtype=np.float64)
+    cu = n + m
+    log_keep = np.log(
+        np.clip(1.0 - prune_probability(m[:, None], m, SIGMA, BOUND_SCALE), 1e-300, 1.0)
+    )
+    # contains[t, g]: g specializes t, so pruning t also prunes g
+    dimsets = [frozenset(g.dims) for g in groups]
+    contains = np.array([[t <= g for g in dimsets] for t in dimsets])
+    # cum[i-1, t] = Σ_{s in the first i sources} log(1 - Pr(P_{s→t}))
+    cum = np.cumsum(log_keep[order], axis=0)
+    source_cost = np.cumsum(cu[order])
+    best = (k, ())
+    for i in range(1, k):
+        outside = np.zeros(k, dtype=bool)
+        outside[order[i:]] = True
+        cu_out = cu[outside]
+        p_t = 1.0 - np.exp(cum[i - 1])  # Pr(P_t) for every group as target
+        alive = outside.copy()
+        log_surv = np.zeros(k)
+        targets: list[int] = []
+        while alive.any():
+            h = np.where(alive, p_t * (contains & alive).sum(axis=1), -np.inf)
+            t = int(np.argmax(h))
+            targets.append(t)
+            alive &= ~contains[t]
+            log_surv += contains[t] * cum[i - 1, t]
+            cost = (
+                float(source_cost[i - 1])
+                + BOUND_COST_RATIO * n * len(targets)
+                + float((np.exp(log_surv[outside]) * cu_out).sum())
+            )
+            if cost < best_cost - 1e-12:
+                best_cost, best = cost, (i, tuple(targets))
+    i, targets = best
+    return PruningPlan(sources=tuple(order[:i]), targets=targets)

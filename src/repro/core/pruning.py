@@ -15,7 +15,7 @@ argmax over *all* facts, so greedy keeps its (1 - 1/e) guarantee.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +43,21 @@ class PruneStats:
     facts_evaluated: int = 0
     groups_pruned: int = 0
     bounds_computed: int = 0
-    extra: dict = field(default_factory=dict)
+
+
+def source_order(factset: FactSet) -> list[int]:
+    """Group indices by ascending fact count, ties by dimensions: the
+    order in which Algorithm 4 adds sources. Groups with few facts cover
+    more rows each and so promise higher per-fact utility."""
+    groups = factset.groups
+    return sorted(range(len(groups)), key=lambda g: (groups[g].n_facts, groups[g].dims))
 
 
 def naive_plan(factset: FactSet) -> PruningPlan:
     """The simple strategy behind algorithm G-P in the evaluation: the
-    group with fewest facts (highest expected per-fact utility) is the
-    single source; every other group is a pruning target, in the same
-    order Algorithm 4 considers them (ascending fact count)."""
-    order = sorted(
-        range(len(factset.groups)),
-        key=lambda g: (factset.groups[g].n_facts, factset.groups[g].dims),
-    )
+    first group of :func:`source_order` is the single source; every
+    other group is a pruning target, in that order."""
+    order = source_order(factset)
     return PruningPlan(sources=(order[0],), targets=tuple(order[1:]))
 
 

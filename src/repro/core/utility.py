@@ -65,14 +65,19 @@ def speech_utility(problem: Problem, factset: FactSet, fact_ids: list[int]) -> f
     return prior_total - float(speech_deviation(problem, factset, fact_ids).sum())
 
 
-def single_fact_utilities(problem: Problem, factset: FactSet) -> np.ndarray:
-    """Single-fact utility of every candidate fact (global id order)."""
-    dev = problem.prior_deviation()
+def all_gains(dev: np.ndarray, target: np.ndarray, factset: FactSet) -> np.ndarray:
+    """Utility gain of every candidate fact (global id order) given
+    current deviations — one unpruned greedy iteration (G-B)."""
     out = np.empty(factset.n_facts, dtype=np.float64)
     for g, grp in enumerate(factset.groups):
         lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-        out[lo:hi] = group_gains(dev, problem.target, grp)
+        out[lo:hi] = group_gains(dev, target, grp)
     return out
+
+
+def single_fact_utilities(problem: Problem, factset: FactSet) -> np.ndarray:
+    """Single-fact utility of every candidate fact (global id order)."""
+    return all_gains(problem.prior_deviation(), problem.target, factset)
 
 
 def normalized(problem: Problem, utility: float) -> float:

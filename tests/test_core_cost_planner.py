@@ -1,15 +1,17 @@
 """Tests for the Section VI-C cost model and Algorithm 4 / OPTPRUNE."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cost import CostModel, prune_probability
+from repro.core import planner
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
-from repro.core.planner import candidate_plans, opt_prune
-from repro.core.pruning import PruningPlan
+from repro.core.planner import opt_prune, prune_probability
+from repro.core.pruning import PruningPlan, naive_plan, source_order
 
 
 def rand_problem(seed, n=60, dims=("a", "b", "c")):
@@ -23,6 +25,115 @@ def rand_problem(seed, n=60, dims=("a", "b", "c")):
     )
     df["t"] = np.round(rng.random(n) * 100, 1)
     return Problem.from_pandas(df, list(dims), "t")
+
+
+def prunable_problem():
+    """One coarse dim explains the target; two dims have many noise
+    values."""
+    rng = np.random.default_rng(0)
+    n = 500
+    a = rng.choice(["lo", "hi"], n)
+    df = pd.DataFrame(
+        {
+            "a": a,
+            "b": rng.choice([f"v{i}" for i in range(80)], n),
+            "c": rng.choice([f"w{i}" for i in range(60)], n),
+            "t": np.where(a == "lo", 0.0, 100.0) + rng.normal(0, 1, n),
+        }
+    )
+    return Problem.from_pandas(df, ["a", "b", "c"], "t")
+
+
+@st.composite
+def problems(draw):
+    """Random problems over 1-4 dimensions of 1-12 values each."""
+    cards = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    df = pd.DataFrame({f"d{j}": rng.integers(0, c, n) for j, c in enumerate(cards)})
+    # the first dimension shifts the target, so some groups are prunable
+    df["t"] = np.round(rng.gamma(2.0, 10.0, n) * (1 + df["d0"] % 3), draw(st.integers(0, 2)))
+    return Problem.from_pandas(df, list(df.columns[:-1]), "t")
+
+
+def forced_opt_prune(fs):
+    """OPTPRUNE with the small-problem short-circuit switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "PLANNING_THRESHOLD", 0)
+        return opt_prune(fs)
+
+
+# ---- reference: the per-plan cost model and candidate enumeration ------
+# ``opt_prune`` costs Algorithm 4's candidates incrementally as it
+# builds them. The reference builds every candidate as a plan and costs
+# each one anew with the Section VI-C formula.
+
+
+class RefCostModel:
+    def __init__(self, factset):
+        sigma, bound_scale, bound_cost_ratio = 0.5, 3.0, 0.35
+        n = factset.problem.n_rows
+        self.M = np.array([g.n_facts for g in factset.groups], dtype=np.float64)
+        dimsets = [frozenset(g.dims) for g in factset.groups]
+        k = len(self.M)
+        inv = 1.0 / self.M
+        z = (inv[:, None] - bound_scale * inv[None, :]) / (sigma * math.sqrt(2.0))
+        P = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+        self.log1mP = np.log(np.clip(1.0 - P, 1e-300, 1.0))
+        self.contains = np.zeros((k, k), dtype=bool)
+        for t in range(k):
+            for g in range(k):
+                self.contains[t, g] = dimsets[t] <= dimsets[g]
+        self.cu = n + self.M
+        self.cd = np.full(k, bound_cost_ratio * n)
+
+    def survival(self, plan):
+        if not plan.sources or not plan.targets:
+            return np.ones(len(self.M))
+        S = np.fromiter(plan.sources, dtype=int)
+        T = np.fromiter(plan.targets, dtype=int)
+        w = self.log1mP[S][:, T].sum(axis=0)
+        return np.exp(self.contains[T].T.astype(float) @ w)
+
+    def plan_cost(self, plan):
+        cost = float(self.cu[list(plan.sources)].sum()) if plan.sources else 0.0
+        if plan.targets:
+            cost += float(self.cd[list(plan.targets)].sum())
+        surv = self.survival(plan)
+        mask = np.ones(len(self.M), dtype=bool)
+        mask[list(plan.sources)] = False
+        return cost + float((surv[mask] * self.cu[mask]).sum())
+
+
+def ref_candidate_plans(factset, cm):
+    order = source_order(factset)
+    k = len(order)
+    cum = np.cumsum(cm.log1mP[order, :], axis=0)
+    plans = [PruningPlan(sources=tuple(order), targets=())]
+    for i in range(1, k):
+        S = tuple(order[:i])
+        p_t = 1.0 - np.exp(cum[i - 1])
+        alive = np.zeros(k, dtype=bool)
+        alive[order[i:]] = True
+        T = []
+        while alive.any():
+            counts = (cm.contains & alive[None, :]).sum(axis=1)
+            t = int(np.argmax(np.where(alive, p_t * counts, -np.inf)))
+            T.append(t)
+            plans.append(PruningPlan(sources=S, targets=tuple(T)))
+            alive &= ~cm.contains[t]
+    return plans
+
+
+def ref_opt_prune(factset):
+    """The first candidate cheaper than every earlier one by > 1e-12."""
+    cm = RefCostModel(factset)
+    best, best_cost = None, math.inf
+    for plan in ref_candidate_plans(factset, cm):
+        cost = cm.plan_cost(plan)
+        if cost < best_cost - 1e-12:
+            best, best_cost = plan, cost
+    return best
 
 
 class TestPruneProbability:
@@ -44,82 +155,54 @@ class TestPruneProbability:
 
 
 class TestCostModel:
-    def test_no_prune_plan_cost_is_all_utilities(self):
-        p = rand_problem(0)
+    def test_no_prune_plan_cost_is_all_utilities(self, monkeypatch):
+        """The short-circuit compares the trivial plan's cost,
+        Σ_g C_U(g) = Σ_g (n + M(g)), against the threshold."""
+        p = prunable_problem()
         fs = enumerate_facts(p)
-        cm = CostModel(fs)
-        all_groups = tuple(range(len(fs.groups)))
-        cost = cm.plan_cost(PruningPlan(sources=all_groups, targets=()))
-        assert cost == pytest.approx(sum(cm.c_utility(g) for g in all_groups))
-
-    def test_survival_probability_in_unit_interval(self):
-        p = rand_problem(1)
-        fs = enumerate_facts(p)
-        cm = CostModel(fs)
-        plan = PruningPlan(sources=(0,), targets=(1, 2))
-        for g in range(len(fs.groups)):
-            assert 0.0 <= cm.survival_probability(g, plan) <= 1.0
-
-    def test_survival_lower_with_more_sources(self):
-        p = rand_problem(2)
-        fs = enumerate_facts(p)
-        cm = CostModel(fs)
-        g = len(fs.groups) - 1  # most specialized group
-        p1 = cm.survival_probability(g, PruningPlan(sources=(0,), targets=(1,)))
-        p2 = cm.survival_probability(
-            g, PruningPlan(sources=(0, 2), targets=(1,))
-        )
-        assert p2 <= p1 + 1e-12
-
-    def test_target_only_affects_specializations(self):
-        p = rand_problem(3)
-        fs = enumerate_facts(p)
-        cm = CostModel(fs)
-        # target = group {a,b}; group {c} is not a specialization
-        dimsets = [set(g.dims) for g in fs.groups]
-        t = dimsets.index({0, 1})
-        c_only = dimsets.index({2})
-        plan = PruningPlan(sources=(0,), targets=(t,))
-        assert cm.survival_probability(c_only, plan) == pytest.approx(1.0)
+        trivial_cost = sum(p.n_rows + g.n_facts for g in fs.groups)
+        planned = forced_opt_prune(fs)
+        assert planned.targets
+        monkeypatch.setattr(planner, "PLANNING_THRESHOLD", trivial_cost)
+        assert opt_prune(fs) == planned
+        monkeypatch.setattr(planner, "PLANNING_THRESHOLD", trivial_cost + 1)
+        assert opt_prune(fs) == PruningPlan(sources=tuple(source_order(fs)), targets=())
 
 
 class TestPlanner:
     def test_trivial_plan_always_candidate(self):
-        p = rand_problem(4)
-        fs = enumerate_facts(p)
-        plans = candidate_plans(fs, CostModel(fs))
-        assert any(pl.targets == () for pl in plans)
+        # one row: every group has one fact, so no source is likely to
+        # prune anything and no bound scan pays for itself
+        df = pd.DataFrame({"a": ["x"], "b": ["y"], "c": ["z"], "t": [1.0]})
+        fs = enumerate_facts(Problem.from_pandas(df, ["a", "b", "c"], "t"))
+        plan = forced_opt_prune(fs)
+        assert plan == ref_opt_prune(fs)
+        assert plan == PruningPlan(sources=tuple(source_order(fs)), targets=())
 
     def test_sources_are_prefixes_by_size(self):
-        p = rand_problem(5)
-        fs = enumerate_facts(p)
-        for pl in candidate_plans(fs, CostModel(fs)):
-            if not pl.targets:
-                continue
-            max_src = max(fs.groups[s].n_facts for s in pl.sources)
-            outside = set(range(len(fs.groups))) - set(pl.sources)
-            # Algorithm 4's source condition: no outside group strictly
-            # smaller than an inside group
-            assert all(fs.groups[g].n_facts >= max_src for g in outside) or all(
-                fs.groups[g].n_facts >= min(fs.groups[s].n_facts for s in pl.sources)
-                for g in outside
-            )
+        for seed in range(5):
+            fs = enumerate_facts(rand_problem(seed))
+            plan = forced_opt_prune(fs)
+            assert plan.targets
+            # Algorithm 4's source condition: no outside group has fewer
+            # facts than a group inside S
+            max_src = max(fs.groups[s].n_facts for s in plan.sources)
+            outside = set(range(len(fs.groups))) - set(plan.sources)
+            assert all(fs.groups[g].n_facts >= max_src for g in outside)
 
     def test_targets_disjoint_from_sources(self):
-        p = rand_problem(6)
-        fs = enumerate_facts(p)
-        for pl in candidate_plans(fs, CostModel(fs)):
-            assert not (set(pl.sources) & set(pl.targets))
+        for seed in range(5):
+            plan = forced_opt_prune(enumerate_facts(rand_problem(seed)))
+            assert plan.targets
+            assert not (set(plan.sources) & set(plan.targets))
 
-    def test_opt_prune_returns_min_cost_candidate(self):
-        p = rand_problem(7)
+    @given(problems())
+    @settings(max_examples=60, deadline=None)
+    def test_opt_prune_returns_min_cost_candidate(self, p):
         fs = enumerate_facts(p)
-        cm = CostModel(fs, sigma=0.1)
-        # planning_threshold=0 forces a full plan search even on this
-        # small fixture (the default short-circuits tiny problems)
-        best = opt_prune(fs, sigma=0.1, planning_threshold=0.0)
-        costs = [cm.plan_cost(pl) for pl in candidate_plans(fs, cm)]
-        assert cm.plan_cost(best) == pytest.approx(min(costs))
+        plan = forced_opt_prune(fs)
+        assert plan == ref_opt_prune(fs)
+        assert plan.sources == tuple(source_order(fs)[: len(plan.sources)])
 
     def test_opt_prune_short_circuits_tiny_problems(self):
         p = rand_problem(8)
@@ -134,28 +217,30 @@ class TestPlanner:
         """G-O (cost-optimized pruning) must not change speech quality."""
         p = rand_problem(seed)
         fs = enumerate_facts(p)
+        plan = forced_opt_prune(fs)
+        assert plan.targets
         gb = greedy_summary(p, fs, 3)
-        go = greedy_summary(p, fs, 3, plan=opt_prune(fs))
+        go = greedy_summary(p, fs, 3, plan=plan)
         assert go.utility == pytest.approx(gb.utility)
 
     def test_go_skips_work_on_prunable_data(self):
         """On data where one coarse dim explains the target and another
         dim has many noise values, the chosen plan should avoid
         computing utilities for every noise fact."""
-        rng = np.random.default_rng(0)
-        n = 500
-        a = rng.choice(["lo", "hi"], n)
-        df = pd.DataFrame(
-            {
-                "a": a,
-                "b": rng.choice([f"v{i}" for i in range(80)], n),
-                "c": rng.choice([f"w{i}" for i in range(60)], n),
-                "t": np.where(a == "lo", 0.0, 100.0) + rng.normal(0, 1, n),
-            }
-        )
-        p = Problem.from_pandas(df, ["a", "b", "c"], "t")
+        p = prunable_problem()
         fs = enumerate_facts(p)
+        plan = forced_opt_prune(fs)
+        assert plan.targets
         gb = greedy_summary(p, fs, 3)
-        go = greedy_summary(p, fs, 3, plan=opt_prune(fs))
+        go = greedy_summary(p, fs, 3, plan=plan)
         assert go.utility == pytest.approx(gb.utility)
-        assert go.facts_evaluated <= gb.facts_evaluated
+        assert go.facts_evaluated < gb.facts_evaluated
+
+    @given(problems(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_variants_choose_gb_facts(self, p, m):
+        """Pruning is sound: G-P and G-O pick G-B's facts, in order."""
+        fs = enumerate_facts(p)
+        gb = greedy_summary(p, fs, m)
+        for plan in (naive_plan(fs), forced_opt_prune(fs)):
+            assert greedy_summary(p, fs, m, plan=plan).extra["fact_ids"] == gb.extra["fact_ids"]
