@@ -29,6 +29,7 @@ import numpy as np
 from .facts import FactSet
 from .greedy import greedy_summary
 from .model import Problem, SpeechResult
+from .pruning import single_fact_utilities
 from . import utility as U
 
 _EPS = 1e-9
@@ -38,7 +39,6 @@ def exact_summary(
     problem: Problem,
     factset: FactSet,
     m: int,
-    lower_bound: float | None = None,
     max_seconds: float | None = None,
 ) -> SpeechResult:
     """Guaranteed-optimal speech of up to ``m`` facts (Corollary 1).
@@ -49,23 +49,18 @@ def exact_summary(
     greedy, but no optimality guarantee)."""
     n = problem.n_rows
     target = problem.target
-    single = U.single_fact_utilities(problem, factset)
+    single = single_fact_utilities(problem, factset)
     rows_processed = n * len(factset.groups)  # Line 6: single-fact utilities
     facts_evaluated = factset.n_facts
 
     order = np.argsort(-single, kind="stable")
     u_sorted = single[order]
 
-    # b is the pruning bound (a valid lower bound on the optimum);
-    # best_u/best_ids track the best complete speech actually found —
-    # kept separate so a *tight* external bound (b == optimum) still
-    # lets the optimal speech be recorded when enumeration reaches it.
     seed = greedy_summary(problem, factset, m)
     rows_processed += seed.rows_processed
     facts_evaluated += seed.facts_evaluated
-    best_u = seed.utility
+    b = seed.utility
     best_ids = list(seed.extra["fact_ids"])
-    b = best_u if lower_bound is None else max(float(lower_bound), best_u)
 
     prior_dev = problem.prior_deviation()
     prior_total = float(prior_dev.sum())
@@ -74,7 +69,7 @@ def exact_summary(
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
 
     def dfs(start: int, chosen: list[int], s_u: float, dev: np.ndarray) -> None:
-        nonlocal b, best_u, best_ids, nodes, rows_processed, timed_out
+        nonlocal b, best_ids, nodes, rows_processed, timed_out
         if timed_out or (
             deadline is not None
             and nodes % 64 == 0
@@ -99,10 +94,9 @@ def exact_summary(
             rows_processed += n
             nodes += 1
             exact_u = prior_total - float(new_dev.sum())
-            if exact_u > best_u + _EPS:
-                best_u = exact_u
+            if exact_u > b + _EPS:
+                b = exact_u
                 best_ids = chosen + [fid]
-                b = max(b, best_u)
             if depth + 1 < m:
                 dfs(j + 1, chosen + [fid], s_u + u_sorted[j], new_dev)
 

@@ -12,11 +12,13 @@ data for those columns.
 Facts are stored group-wise: within a group every row is within scope
 of exactly one fact, so utility aggregation per group is a single
 ``bincount`` — the NumPy specialisation of the paper's
-``Γ_{ΣU,F}(R ⋈_M F)`` join-then-aggregate.
+``Γ_{ΣU,F}(R ⋈_M F)`` join-then-aggregate. ``row_to_fact`` is the one
+scope representation: fact ``f`` of a group covers exactly the rows
+where ``row_to_fact == f``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -33,30 +35,26 @@ class FactGroup:
     fact_values: np.ndarray  # (n_facts,) float64 — typical values (avg target)
     fact_codes: np.ndarray  # (n_facts, len(dims)) int32 — dim value codes
     fact_counts: np.ndarray  # (n_facts,) int64 — rows within scope
-    _fact_rows: list[np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n_facts(self) -> int:
         return self.fact_values.shape[0]
 
-    def rows_of_fact(self, local_idx: int) -> np.ndarray:
-        """Row indices within scope of the ``local_idx``-th fact."""
-        if self._fact_rows is None:
-            order = np.argsort(self.row_to_fact, kind="stable")
-            bounds = np.searchsorted(self.row_to_fact[order], np.arange(self.n_facts + 1))
-            self._fact_rows = [order[bounds[i] : bounds[i + 1]] for i in range(self.n_facts)]
-        return self._fact_rows[local_idx]
-
 
 @dataclass
 class FactSet:
-    """All candidate facts of a problem, grouped by restricted dims."""
+    """All candidate facts of a problem, grouped by restricted dims.
+
+    ``contains[t, g]`` is the lattice order: group ``g`` specializes
+    group ``t`` (restricts a superset of its dimensions, ``t`` itself
+    included), so every fact of ``g`` lies within the scope of one fact
+    of ``t``. Algorithm 3 prunes and the §VI-C cost model reasons by it.
+    """
 
     problem: Problem
     groups: list[FactGroup]
     offsets: np.ndarray  # (len(groups)+1,) — global id = offset[g] + local
+    contains: np.ndarray  # (len(groups), len(groups)) bool
 
     @property
     def n_facts(self) -> int:
@@ -80,14 +78,6 @@ class FactSet:
         )
         return Fact(scope=scope, value=float(grp.fact_values[local]))
 
-    def fact_scope_rows(self, fact_id: int) -> np.ndarray:
-        g, local = self.group_of(fact_id)
-        return self.groups[g].rows_of_fact(local)
-
-    def fact_value(self, fact_id: int) -> float:
-        g, local = self.group_of(fact_id)
-        return float(self.groups[g].fact_values[local])
-
 
 def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
     """Enumerate all candidate facts with up to ``max_extra_dims``
@@ -99,7 +89,8 @@ def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
     its parent ``(d1, …, dk-1)`` by the mixed-radix key
     ``parent_fact · card[dk] + code[dk]`` and one ``bincount`` — no row
     sort. The key is ordered like the tuple ``(d1, …, dk)``, so facts
-    come out in the lexicographic order of their value codes.
+    come out in the lexicographic order of their value codes. Global
+    ids follow the groups in ``combinations`` order, then that order.
     """
     dm = problem.dim_matrix
     n, d = dm.shape
@@ -135,4 +126,6 @@ def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
     offsets = np.zeros(len(groups) + 1, dtype=np.int64)
     for i, g in enumerate(groups):
         offsets[i + 1] = offsets[i] + g.n_facts
-    return FactSet(problem=problem, groups=groups, offsets=offsets)
+    masks = np.array([sum(1 << j for j in g.dims) for g in groups], dtype=np.int64)
+    contains = (masks[:, None] & masks[None, :]) == masks[:, None]
+    return FactSet(problem=problem, groups=groups, offsets=offsets, contains=contains)

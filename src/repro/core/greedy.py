@@ -2,11 +2,11 @@
 
 Iteratively adds the fact with maximal utility gain; by monotonicity and
 submodularity of utility (Theorem 1) this is (1 - 1/e)-approximate
-(Theorem 3). Optional *fact pruning* (Algorithm 3) skips utility
-computation for fact groups whose upper bound is dominated; the pruning
-plan is supplied by the caller (naive plan → G-P, cost-optimized plan →
-G-O), so this one function backs all three greedy variants in the
-paper's evaluation.
+(Theorem 3). Each iteration computes gains under a pruning plan
+(Algorithm 3), which skips fact groups whose upper bound is dominated.
+The plan is supplied by the caller (naive plan → G-P, cost-optimized
+plan → G-O); the default full plan prunes nothing (G-B). So this one
+loop backs all three greedy variants in the paper's evaluation.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .facts import FactSet
 from .model import Problem, SpeechResult
-from .pruning import PruningPlan, pruned_gains
+from .pruning import PruningPlan, full_plan, pruned_gains
 from . import utility as U
 
 
@@ -25,8 +25,9 @@ def greedy_summary(
     plan: PruningPlan | None = None,
 ) -> SpeechResult:
     """Select up to ``m`` facts greedily; returns the speech plus cost
-    counters. With ``plan=None`` every fact's gain is computed each
-    iteration (G-B); otherwise Algorithm 3 prunes fact groups first."""
+    counters. ``plan=None`` means the full plan: every fact's gain is
+    computed each iteration (G-B)."""
+    plan = plan or full_plan(factset)
     dev = problem.prior_deviation()
     prior_total = float(dev.sum())
     chosen: list[int] = []
@@ -34,14 +35,9 @@ def greedy_summary(
     facts_evaluated = 0
     n = problem.n_rows
     for _ in range(m):
-        if plan is None:
-            gains = U.all_gains(dev, problem.target, factset)
-            rows_processed += n * len(factset.groups)
-            facts_evaluated += factset.n_facts
-        else:
-            gains, stats = pruned_gains(dev, problem.target, factset, plan)
-            rows_processed += stats.rows_processed
-            facts_evaluated += stats.facts_evaluated
+        gains, stats = pruned_gains(dev, problem.target, factset, plan)
+        rows_processed += stats.rows_processed
+        facts_evaluated += stats.facts_evaluated
         best = int(np.argmax(gains))
         if gains[best] <= 0:
             break  # no fact improves the approximation further

@@ -19,6 +19,15 @@ import numpy as np
 import pandas as pd
 
 
+def encode_column(values: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary-encode one dimension column: int32 codes in the sorted
+    order of the string labels, and those labels. The code order is the
+    fact order, so it also decides which of two equal-gain facts a
+    solver picks."""
+    codes, labels = pd.factorize(values.astype(str), sort=True)
+    return codes.astype(np.int32), np.asarray(labels)
+
+
 @dataclass(frozen=True)
 class Fact:
     """A fact ``<D, v>`` (Definition 2): a scope mapping dimension names
@@ -86,9 +95,8 @@ class Problem:
         mat = np.empty((len(df), len(dims)), dtype=np.int32)
         labels: list[np.ndarray] = []
         for j, d in enumerate(dims):
-            codes, uniques = pd.factorize(df[d].astype(str), sort=True)
-            mat[:, j] = codes
-            labels.append(np.asarray(uniques))
+            mat[:, j], uniques = encode_column(df[d])
+            labels.append(uniques)
         tgt = df[target].to_numpy(dtype=np.float64)
         return cls(
             dim_names=list(dims),

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .facts import FactSet
-from .pruning import PruningPlan, source_order
+from .pruning import PruningPlan, full_plan, source_order
 
 #: Standard deviation of a per-fact utility in the normal approximation.
 SIGMA = 0.5
@@ -78,20 +78,18 @@ def prune_probability(m_source, m_target, sigma: float, bound_scale: float = 1.0
 def opt_prune(factset: FactSet) -> PruningPlan:
     """OPTPRUNE: the minimum-estimated-cost plan among the candidates
     generated by Algorithm 4 (this is what makes variant G-O)."""
-    order = source_order(factset)
     groups = factset.groups
     n, k = factset.problem.n_rows, len(groups)
     best_cost = sum(n + g.n_facts for g in groups)  # the trivial plan's cost
     if best_cost < PLANNING_THRESHOLD:
-        return PruningPlan(sources=tuple(order), targets=())
+        return full_plan(factset)
+    order = source_order(factset)
     m = np.array([g.n_facts for g in groups], dtype=np.float64)
     cu = n + m
     log_keep = np.log(
         np.clip(1.0 - prune_probability(m[:, None], m, SIGMA, BOUND_SCALE), 1e-300, 1.0)
     )
-    # contains[t, g]: g specializes t, so pruning t also prunes g
-    dimsets = [frozenset(g.dims) for g in groups]
-    contains = np.array([[t <= g for g in dimsets] for t in dimsets])
+    contains = factset.contains  # pruning t also prunes every g it contains
     # cum[i-1, t] = Σ_{s in the first i sources} log(1 - Pr(P_{s→t}))
     cum = np.cumsum(log_keep[order], axis=0)
     source_cost = np.cumsum(cu[order])

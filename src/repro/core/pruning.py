@@ -12,6 +12,10 @@ specialized fact's scope is contained in some target fact's scope.
 
 Soundness: the returned argmax over computed gains equals the true
 argmax over *all* facts, so greedy keeps its (1 - 1/e) guarantee.
+
+The full plan ``<all groups, ∅>`` prunes nothing: under it one call is
+one iteration of plain G-B, and on the prior deviation it gives every
+fact's single-fact utility.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .facts import FactSet
+from .model import Problem
 from . import utility as U
 
 
@@ -53,6 +58,12 @@ def source_order(factset: FactSet) -> list[int]:
     return sorted(range(len(groups)), key=lambda g: (groups[g].n_facts, groups[g].dims))
 
 
+def full_plan(factset: FactSet) -> PruningPlan:
+    """Every group a source, no targets: G-B, and the trivial candidate
+    of OPTPRUNE."""
+    return PruningPlan(sources=tuple(source_order(factset)), targets=())
+
+
 def naive_plan(factset: FactSet) -> PruningPlan:
     """The simple strategy behind algorithm G-P in the evaluation: the
     first group of :func:`source_order` is the single source; every
@@ -73,7 +84,6 @@ def pruned_gains(
     stats = PruneStats()
     n = dev.shape[0]
     groups = factset.groups
-    dimsets = [frozenset(g.dims) for g in groups]
     gains = np.full(factset.n_facts, -np.inf, dtype=np.float64)
 
     def compute(g: int) -> float:
@@ -87,18 +97,26 @@ def pruned_gains(
     for s in plan.sources:
         best_so_far = max(best_so_far, compute(s))
 
-    alive = set(range(len(groups))) - set(plan.sources)
+    alive = np.ones(len(groups), dtype=bool)
+    alive[list(plan.sources)] = False
     for t in plan.targets:
-        if t not in alive:
+        if not alive[t]:
             continue  # already pruned as a specialization
         bound = float(U.group_deviation_bounds(dev, groups[t]).max())
         stats.rows_processed += n
         stats.bounds_computed += 1
         if best_so_far > bound:
-            victims = {g for g in alive if dimsets[t] <= dimsets[g]}
-            alive -= victims
-            stats.groups_pruned += len(victims)
+            victims = factset.contains[t] & alive
+            alive &= ~victims
+            stats.groups_pruned += int(victims.sum())
 
-    for g in sorted(alive):
-        best_so_far = max(best_so_far, compute(g))
+    for g in np.flatnonzero(alive):
+        best_so_far = max(best_so_far, compute(int(g)))
     return gains, stats
+
+
+def single_fact_utilities(problem: Problem, factset: FactSet) -> np.ndarray:
+    """Single-fact utility of every candidate fact (global id order):
+    the gains of greedy's first iteration."""
+    gains, _ = pruned_gains(problem.prior_deviation(), problem.target, factset, full_plan(factset))
+    return gains

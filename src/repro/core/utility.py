@@ -44,11 +44,10 @@ def apply_fact(
 ) -> np.ndarray:
     """Return deviations after the user also hears fact ``fact_id``
     (the paper's Line 11, ``Π_E(R ⋈_M f*)``). Pure: input untouched."""
-    rows = factset.fact_scope_rows(fact_id)
-    v = factset.fact_value(fact_id)
-    out = dev.copy()
-    out[rows] = np.minimum(out[rows], np.abs(v - target[rows]))
-    return out
+    g, local = factset.group_of(fact_id)
+    grp = factset.groups[g]
+    in_scope = grp.row_to_fact == local
+    return np.where(in_scope, np.minimum(dev, np.abs(grp.fact_values[local] - target)), dev)
 
 
 def speech_deviation(problem: Problem, factset: FactSet, fact_ids: list[int]) -> np.ndarray:
@@ -63,21 +62,6 @@ def speech_utility(problem: Problem, factset: FactSet, fact_ids: list[int]) -> f
     """Exact utility ``U(F) = D(∅) - D(F)`` of a speech (Definition 6)."""
     prior_total = float(problem.prior_deviation().sum())
     return prior_total - float(speech_deviation(problem, factset, fact_ids).sum())
-
-
-def all_gains(dev: np.ndarray, target: np.ndarray, factset: FactSet) -> np.ndarray:
-    """Utility gain of every candidate fact (global id order) given
-    current deviations — one unpruned greedy iteration (G-B)."""
-    out = np.empty(factset.n_facts, dtype=np.float64)
-    for g, grp in enumerate(factset.groups):
-        lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-        out[lo:hi] = group_gains(dev, target, grp)
-    return out
-
-
-def single_fact_utilities(problem: Problem, factset: FactSet) -> np.ndarray:
-    """Single-fact utility of every candidate fact (global id order)."""
-    return all_gains(problem.prior_deviation(), problem.target, factset)
 
 
 def normalized(problem: Problem, utility: float) -> float:

@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
-from ..core.model import Problem
+from ..core.model import Problem, encode_column
 from .config import Config, KEY_SEP, KV_SEP, encode_key
 
 
@@ -101,20 +101,21 @@ def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) ->
         ys[t] = frame[t].to_numpy(dtype=np.float64)
         if np.isnan(ys[t]).any():
             raise ValueError(f"target column {t!r} has NULL or NaN values")
-    strs = frame[dims].astype(str)
-    codes = np.empty(strs.shape, dtype=np.int32)
+    codes = np.empty((len(frame), len(dims)), dtype=np.int32)
     labels = []
     for j, d in enumerate(dims):
-        codes[:, j], uniques = pd.factorize(strs[d], sort=True)
+        codes[:, j], uniques = encode_column(frame[d])
         for v in uniques:
             _check_separators(f"dimension column {d!r} value {v!r}", v)
-        labels.append(np.asarray(uniques))
+        labels.append(uniques)
 
-    queries = [Query("", {}, np.arange(len(strs)))] if len(strs) else []
+    coded = pd.DataFrame(codes, columns=range(len(dims)))
+    queries = [Query("", {}, np.arange(len(coded)))] if len(coded) else []
     for size in range(1, config.max_query_len + 1):
-        for subset in combinations(dims, size):
-            for vals, rows in strs.groupby(list(subset), sort=True).indices.items():
-                preds = dict(zip(subset, vals if isinstance(vals, tuple) else (vals,)))
+        for subset in combinations(range(len(dims)), size):
+            for key, rows in coded.groupby(list(subset), sort=True).indices.items():
+                key = key if isinstance(key, tuple) else (key,)
+                preds = {dims[j]: labels[j][c] for j, c in zip(subset, key)}
                 queries.append(Query(encode_key(preds), preds, rows))
     queries.sort(key=lambda q: -len(q.rows))
     return QueryPlan(config=config, codes=codes, labels=labels, targets=ys, queries=queries)

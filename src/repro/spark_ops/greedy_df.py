@@ -51,7 +51,7 @@ def greedy_summary_df(
     """Greedy speech construction entirely through DataFrame operators."""
     if prior is None:
         prior = data.agg(sf.avg(target)).collect()[0][0]
-    facts = facts_dataframe(spark, data, dims, target, max_extra_dims).cache()
+    facts = facts_dataframe(data, dims, target, max_extra_dims).cache()
 
     # R with the running deviation column (expectation starts at prior)
     t = sf.col(target)

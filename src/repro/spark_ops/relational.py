@@ -8,21 +8,21 @@ DataFrames so Catalyst plans them:
   dimension unrestricted) plus the typical value;
 - the scope-match join condition ``M`` — for every dimension ``d``,
   ``F.d IS NULL OR F.d = R.d``;
-- single-fact utility as ``Γ_{ΣU, F}(R ⋈_M F)`` — a join followed by a
-  grouped sum of per-row utility.
+- utility gain as ``Γ_{ΣU, F}(R ⋈_M F)`` — a join followed by a
+  grouped sum of per-row gain.
 """
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as sf
 
 FACT_PREFIX = "f_"  # fact-side dimension columns are prefixed to avoid clashes
 
 
 def facts_dataframe(
-    spark: SparkSession,
     data: DataFrame,
     dims: list[str],
     target: str,
@@ -35,9 +35,13 @@ def facts_dataframe(
     ``max_extra_dims`` (Section III: all value combinations appearing in
     the data), unioned; Spark's ``cube`` could produce the same but
     would not let us bound the subset size.
-    """
-    from itertools import combinations
 
+    ``fact_id`` increases in the kernel's global fact order
+    (:func:`repro.core.facts.enumerate_facts`): subsets as
+    ``combinations`` yields them, then the restricted values in
+    dimension order. Ordering by ``fact_id`` breaks ties as the kernel
+    does.
+    """
     pieces = []
     for size in range(0, max_extra_dims + 1):
         for sub in combinations(dims, size):
@@ -49,10 +53,13 @@ def facts_dataframe(
                 (sf.col(d) if d in sub else sf.lit(None)).cast("string").alias(FACT_PREFIX + d)
                 for d in dims
             ]
-            pieces.append(agg.select(*proj, "fact_value", "fact_rows"))
+            group = sf.lit(len(pieces)).alias("fact_group")
+            pieces.append(agg.select(*proj, "fact_value", "fact_rows", group))
     out = reduce(DataFrame.unionByName, pieces)
-    return out.withColumn(
-        "fact_id", sf.monotonically_increasing_id()
+    return (
+        out.orderBy("fact_group", *[FACT_PREFIX + d for d in dims])
+        .withColumn("fact_id", sf.monotonically_increasing_id())
+        .drop("fact_group")
     )
 
 
@@ -69,29 +76,6 @@ def scope_match(dims: list[str]) -> Column:
     )
 
 
-def single_fact_utilities_df(
-    data: DataFrame,
-    facts: DataFrame,
-    dims: list[str],
-    target: str,
-    prior: float,
-) -> DataFrame:
-    """``Γ_{ΣU, F}(R ⋈_M F)`` — Line 6 of Algorithm 1 / Line 7 of
-    Algorithm 2 on the prior expectation: per-fact summed utility
-    ``max(0, |prior - v_r| - |v_f - v_r|)`` over in-scope rows.
-
-    Returns columns ``fact_id, utility``. Facts whose scope matches no
-    row (impossible here, facts come from the data) would be absent.
-    """
-    t = sf.col(target)
-    gain = sf.greatest(
-        sf.lit(0.0),
-        sf.abs(sf.lit(float(prior)) - t) - sf.abs(sf.col("fact_value") - t),
-    )
-    joined = data.join(facts, on=scope_match(dims), how="inner")
-    return joined.groupBy("fact_id").agg(sf.sum(gain).alias("utility"))
-
-
 def gains_against_expectation_df(
     data: DataFrame,
     facts: DataFrame,
@@ -99,8 +83,13 @@ def gains_against_expectation_df(
     target: str,
     dev_col: str = "dev",
 ) -> DataFrame:
-    """Per-fact utility *gain* given the current per-row deviation
-    column (Algorithm 2's Line 7 in later iterations)."""
+    """``Γ_{ΣU, F}(R ⋈_M F)``: per-fact summed utility gain
+    ``max(0, dev_r - |v_f - v_r|)`` over in-scope rows, given the
+    current per-row deviation column — Algorithm 2's Line 7. Over the
+    deviation ``|prior - v_r|`` it is every fact's single-fact utility
+    (Line 6 of Algorithm 1).
+
+    Returns columns ``fact_id, utility``."""
     t = sf.col(target)
     gain = sf.greatest(
         sf.lit(0.0), sf.col(dev_col) - sf.abs(sf.col("fact_value") - t)

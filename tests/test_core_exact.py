@@ -9,6 +9,7 @@ from repro.core.exact import brute_force_summary, exact_summary
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
+from repro.core.pruning import single_fact_utilities
 
 
 def rand_problem(seed, n=14, dims=("a", "b")):
@@ -66,15 +67,6 @@ class TestExact:
         b = brute_force_summary(p, fs, 2)
         assert e.utility == pytest.approx(b.utility)
 
-    def test_respects_external_lower_bound(self):
-        """Passing the true optimum as b must still return an optimal
-        speech (pruning with a tight bound keeps at least one optimum)."""
-        p = rand_problem(7)
-        fs = enumerate_facts(p)
-        opt = brute_force_summary(p, fs, 2).utility
-        e = exact_summary(p, fs, 2, lower_bound=opt - 1e-9)
-        assert e.utility == pytest.approx(opt)
-
     def test_pruning_reduces_nodes(self):
         """With the greedy seed bound, branch-and-bound must expand far
         fewer nodes than the full combination count."""
@@ -88,9 +80,7 @@ class TestExact:
     def test_m_one(self):
         p = rand_problem(3)
         fs = enumerate_facts(p)
-        from repro.core import utility as U
-
-        singles = U.single_fact_utilities(p, fs)
+        singles = single_fact_utilities(p, fs)
         assert exact_summary(p, fs, 1).utility == pytest.approx(singles.max())
 
     def test_zero_error_problem(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.facts import enumerate_facts
 from repro.core.model import Problem
+from repro.core.utility import apply_fact
 
 
 @pytest.fixture()
@@ -60,19 +61,6 @@ class TestEnumeration:
         for g in fs.groups:
             assert g.fact_counts.sum() == grid_problem.n_rows
 
-    def test_rows_of_fact_partition(self, grid_problem):
-        fs = enumerate_facts(grid_problem)
-        for g in fs.groups:
-            seen = np.concatenate([g.rows_of_fact(i) for i in range(g.n_facts)])
-            assert sorted(seen) == list(range(grid_problem.n_rows))
-
-    def test_row_to_fact_consistent_with_rows_of_fact(self, grid_problem):
-        fs = enumerate_facts(grid_problem)
-        g = fs.groups[3]
-        for i in range(g.n_facts):
-            for r in g.rows_of_fact(i):
-                assert g.row_to_fact[r] == i
-
     def test_global_id_roundtrip(self, grid_problem):
         fs = enumerate_facts(grid_problem)
         for fid in range(fs.n_facts):
@@ -87,14 +75,6 @@ class TestEnumeration:
         # some two-dim fact carries both dim names
         f2 = fs.fact(fs.n_facts - 1)
         assert {d for d, _ in f2.scope} == {"region", "season"}
-
-    def test_fact_value_matches_subset_mean(self, grid_problem):
-        fs = enumerate_facts(grid_problem)
-        for fid in range(fs.n_facts):
-            rows = fs.fact_scope_rows(fid)
-            assert fs.fact_value(fid) == pytest.approx(
-                grid_problem.target[rows].mean()
-            )
 
     def test_only_observed_combinations_enumerated(self):
         # sparse data: only 3 of 4 possible (a, b) combos appear
@@ -227,3 +207,44 @@ class TestAgainstSortReference:
         codes = rng.integers(0, 200, size=(3000, 3))
         problem = coded_problem(codes, rng.normal(size=3000))
         assert_matches_reference(problem, 3)
+
+
+# ---- the fact lattice every kernel reads ---------------------------------
+
+
+class TestScopesAndContainment:
+    @settings(max_examples=100, deadline=None)
+    @given(coded_problems(), st.integers(0, 2**32 - 1))
+    def test_row_to_fact_is_the_labelled_scope(self, case, seed):
+        """Each fact's ``row_to_fact == local`` rows are the rows its
+        labelled scope selects; its value is their mean target, and
+        ``apply_fact`` lowers deviation on exactly those rows."""
+        problem, extra = case
+        fs = enumerate_facts(problem, max_extra_dims=extra)
+        dev = np.random.default_rng(seed).random(problem.n_rows) * 100
+        labels = {
+            name: problem.dim_labels[j][problem.dim_matrix[:, j]]
+            for j, name in enumerate(problem.dim_names)
+        }
+        for fid in range(fs.n_facts):
+            fact = fs.fact(fid)
+            in_scope = np.ones(problem.n_rows, dtype=bool)
+            for name, value in fact.scope:
+                in_scope &= labels[name] == value
+            g, local = fs.group_of(fid)
+            assert np.array_equal(fs.groups[g].row_to_fact == local, in_scope)
+            assert fact.value == pytest.approx(problem.target[in_scope].mean())
+            rows = np.flatnonzero(in_scope)
+            want = dev.copy()
+            want[rows] = np.minimum(dev[rows], np.abs(fact.value - problem.target[rows]))
+            assert np.array_equal(apply_fact(dev, problem.target, fs, fid), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coded_problems())
+    def test_contains_is_dimension_set_containment(self, case):
+        problem, extra = case
+        fs = enumerate_facts(problem, max_extra_dims=extra)
+        dimsets = [frozenset(g.dims) for g in fs.groups]
+        want = [[t <= g for g in dimsets] for t in dimsets]
+        assert fs.contains.dtype == bool
+        assert fs.contains.tolist() == want

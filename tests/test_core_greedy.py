@@ -8,6 +8,7 @@ from repro.core.exact import brute_force_summary
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
+from repro.core.pruning import single_fact_utilities
 from repro.core import utility as U
 
 
@@ -34,7 +35,7 @@ class TestGreedy:
         p = grid()
         fs = enumerate_facts(p)
         res = greedy_summary(p, fs, 1)
-        singles = U.single_fact_utilities(p, fs)
+        singles = single_fact_utilities(p, fs)
         assert res.utility == pytest.approx(singles.max())
 
     def test_utility_consistent_with_recomputation(self):

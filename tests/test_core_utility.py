@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.facts import enumerate_facts
 from repro.core.model import Problem
+from repro.core.pruning import single_fact_utilities
 from repro.core import utility as U
 
 
@@ -49,7 +50,7 @@ class TestHandComputedUtilities:
         fid = fid_by_scope(fs, {"season": "Winter"})
         # winter avg 15; winter cells are (20,10,20,10): per-row new dev 5
         # vs prior dev (20,10,...): gain per row = dev - 5
-        assert fs.fact_value(fid) == pytest.approx(15.0)
+        assert fs.fact(fid).value == pytest.approx(15.0)
         assert U.speech_utility(p, fs, [fid]) == pytest.approx(
             (20 - 5) + (10 - 5) + (20 - 5) + (10 - 5)
         )
@@ -69,7 +70,7 @@ class TestHandComputedUtilities:
         winter = fid_by_scope(fs, {"season": "Winter"})
         north = fid_by_scope(fs, {"region": "North"})
         # North avg = (10 + 20)/2 = 15
-        assert fs.fact_value(north) == pytest.approx(15.0)
+        assert fs.fact(north).value == pytest.approx(15.0)
         dev = U.speech_deviation(p, fs, [winter, north])
         # winter rows: |15-v| = 5 each; North Summer: min(10, |15-10|) = 5;
         # S/E/W Summer keep prior dev 20, 20, 10
@@ -115,7 +116,7 @@ class TestKernels:
 
     def test_single_fact_utilities_vector(self):
         p, fs = grid(), enumerate_facts(grid())
-        vec = U.single_fact_utilities(p, fs)
+        vec = single_fact_utilities(p, fs)
         assert vec.shape == (fs.n_facts,)
         for fid in range(fs.n_facts):
             assert vec[fid] == pytest.approx(U.speech_utility(p, fs, [fid]))
