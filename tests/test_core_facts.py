@@ -61,6 +61,22 @@ class TestEnumeration:
         for g in fs.groups:
             assert g.fact_counts.sum() == grid_problem.n_rows
 
+    def test_rows_of_fact_partition(self, grid_problem):
+        fs = enumerate_facts(grid_problem)
+        for g in fs.groups:
+            seen = np.concatenate(
+                [np.flatnonzero(g.row_to_fact == i) for i in range(g.n_facts)]
+            )
+            assert sorted(seen) == list(range(grid_problem.n_rows))
+
+    def test_row_to_fact_consistent_with_rows_of_fact(self, grid_problem):
+        fs = enumerate_facts(grid_problem)
+        g = fs.groups[3]
+        codes = grid_problem.dim_matrix[:, list(g.dims)]
+        for i in range(g.n_facts):
+            in_scope = (codes == g.fact_codes[i]).all(axis=1)
+            assert np.array_equal(g.row_to_fact == i, in_scope)
+
     def test_global_id_roundtrip(self, grid_problem):
         fs = enumerate_facts(grid_problem)
         for fid in range(fs.n_facts):
@@ -75,6 +91,15 @@ class TestEnumeration:
         # some two-dim fact carries both dim names
         f2 = fs.fact(fs.n_facts - 1)
         assert {d for d, _ in f2.scope} == {"region", "season"}
+
+    def test_fact_value_matches_subset_mean(self, grid_problem):
+        fs = enumerate_facts(grid_problem)
+        for fid in range(fs.n_facts):
+            g, local = fs.group_of(fid)
+            rows = fs.groups[g].row_to_fact == local
+            assert fs.fact(fid).value == pytest.approx(
+                grid_problem.target[rows].mean()
+            )
 
     def test_only_observed_combinations_enumerated(self):
         # sparse data: only 3 of 4 possible (a, b) combos appear
