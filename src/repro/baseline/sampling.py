@@ -60,7 +60,7 @@ def _estimated_gains(
     v_count = np.zeros(k)
     for g, grp in enumerate(factset.groups):
         lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-        r2f = grp.row_to_fact[sample_idx]
+        r2f = grp.row_to_fact[sample_idx] - lo
         # estimated typical value per fact from the sample
         cnt = np.bincount(r2f, minlength=grp.n_facts).astype(float)
         sums = np.bincount(r2f, weights=target_s, minlength=grp.n_facts)

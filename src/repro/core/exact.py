@@ -18,6 +18,26 @@ The paper executes this as iterative SQL self-joins; our kernel is an
 equivalent depth-first enumeration (the candidate set after i
 expansions is identical), which lets us tighten ``b`` as exact
 utilities of complete speeches are discovered.
+
+The single-fact utilities (Line 6) are the gains of the greedy seed's
+first iteration, so they are computed once.
+
+*Representatives.* Utility depends on a fact only through its scope
+rows and their mean (Definitions 4-6), so facts with equal row sets are
+interchangeable. The DFS ranks one representative per distinct row set:
+the lowest global id. This returns the same speech as ranking every
+fact. Take any speech the full DFS visits and replace each duplicate by
+its representative. Equal rows give bit-identical values, gains and
+deviations, so the new speech has the same utility (or is a smaller one
+of the same utility, if two facts shared a representative). The
+representative has the same single-fact utility and a lower id, so the
+stable order puts it earlier: the new speech's sorted position tuple is
+component-wise ≤ the old one, and the DFS visits it first. The
+utilities along that tuple are the same sequence, so every partial sum
+``S.U`` and every bound test is the same, and the new speech survives
+every test the old one survived. A speech that is not strictly better
+than ``b`` never moves ``b``, so the full DFS's sequence of ``b``
+updates, and hence ``fact_ids``, is unchanged.
 """
 from __future__ import annotations
 
@@ -29,10 +49,24 @@ import numpy as np
 from .facts import FactSet
 from .greedy import greedy_summary
 from .model import Problem, SpeechResult
-from .pruning import single_fact_utilities
 from . import utility as U
 
 _EPS = 1e-9
+
+
+def distinct_scopes(factset: FactSet) -> np.ndarray:
+    """Lowest global id of each distinct scope row set, ascending.
+
+    Every fact's rows become one bitmap (eight rows per byte), built
+    from ``factset.row_to_fact`` and viewed as one opaque byte string;
+    ``np.unique`` compares those exactly, and its stable sort returns
+    the first, i.e. lowest, id of each class."""
+    n = factset.row_to_fact.shape[1]
+    member = np.zeros((factset.n_facts, n), dtype=bool)
+    member[factset.row_to_fact, np.arange(n)] = True
+    bitmaps = np.packbits(member, axis=1)
+    _, first = np.unique(bitmaps.view(np.dtype((np.void, bitmaps.shape[1]))), return_index=True)
+    return np.sort(first)
 
 
 def exact_summary(
@@ -46,21 +80,25 @@ def exact_summary(
     ``max_seconds`` mirrors the paper's per-scenario timeout (48 h on
     their testbed): when exceeded, the best speech found so far is
     returned with ``extra["timed_out"] = True`` (at least as good as
-    greedy, but no optimality guarantee)."""
+    greedy, but no optimality guarantee).
+
+    ``extra["representatives"]`` counts the distinct scope row sets the
+    DFS ranks; ``extra["nodes_expanded"]`` the speeches it evaluated."""
     n = problem.n_rows
     target = problem.target
-    single = single_fact_utilities(problem, factset)
-    rows_processed = n * len(factset.groups)  # Line 6: single-fact utilities
-    facts_evaluated = factset.n_facts
-
-    order = np.argsort(-single, kind="stable")
-    u_sorted = single[order]
-
     seed = greedy_summary(problem, factset, m)
-    rows_processed += seed.rows_processed
-    facts_evaluated += seed.facts_evaluated
+    rows_processed = seed.rows_processed
+    facts_evaluated = seed.facts_evaluated
     b = seed.utility
     best_ids = list(seed.extra["fact_ids"])
+
+    reps = distinct_scopes(factset)
+    rows_processed += n * len(factset.groups)  # the scan behind the bitmaps
+    # Line 6: single-fact utilities, from greedy's first iteration (with
+    # m = 0 there is none, and the all-zero ranking expands no node)
+    single = seed.extra["first_gains"] if m > 0 else np.zeros(factset.n_facts)
+    order = reps[np.argsort(-single[reps], kind="stable")]
+    u_sorted = single[order]
 
     prior_dev = problem.prior_deviation()
     prior_total = float(prior_dev.sum())
@@ -109,7 +147,12 @@ def exact_summary(
         normalized=U.normalized(problem, util),
         rows_processed=rows_processed,
         facts_evaluated=facts_evaluated,
-        extra={"fact_ids": best_ids, "nodes_expanded": nodes, "timed_out": timed_out},
+        extra={
+            "fact_ids": best_ids,
+            "representatives": len(reps),
+            "nodes_expanded": nodes,
+            "timed_out": timed_out,
+        },
     )
 
 

@@ -26,7 +26,9 @@ def greedy_summary(
 ) -> SpeechResult:
     """Select up to ``m`` facts greedily; returns the speech plus cost
     counters. ``plan=None`` means the full plan: every fact's gain is
-    computed each iteration (G-B)."""
+    computed each iteration (G-B). ``extra["first_gains"]`` keeps the
+    first iteration's gain array (``-inf`` where the plan pruned); under
+    the full plan it holds every fact's single-fact utility."""
     plan = plan or full_plan(factset)
     dev = problem.prior_deviation()
     prior_total = float(dev.sum())
@@ -34,8 +36,11 @@ def greedy_summary(
     rows_processed = 0
     facts_evaluated = 0
     n = problem.n_rows
+    first_gains = None
     for _ in range(m):
         gains, stats = pruned_gains(dev, problem.target, factset, plan)
+        if first_gains is None:
+            first_gains = gains
         rows_processed += stats.rows_processed
         facts_evaluated += stats.facts_evaluated
         best = int(np.argmax(gains))
@@ -51,5 +56,5 @@ def greedy_summary(
         normalized=U.normalized(problem, util),
         rows_processed=rows_processed,
         facts_evaluated=facts_evaluated,
-        extra={"fact_ids": chosen},
+        extra={"fact_ids": chosen, "first_gains": first_gains},
     )

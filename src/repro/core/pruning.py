@@ -80,25 +80,45 @@ def pruned_gains(
 ) -> tuple[np.ndarray, PruneStats]:
     """One greedy iteration's gain computation under a pruning plan
     (replaces Line 7 of Algorithm 2, per Algorithm 3). Returns a global
-    gain array where facts in pruned groups are ``-inf``."""
+    gain array where facts in pruned groups are ``-inf``.
+
+    The gains of all sources come from one ``bincount`` over their rows
+    of ``factset.row_to_fact``, then those of all surviving groups from
+    one more; under the full plan an iteration is a single call. Each
+    fact's rows lie in one group's row, so ``bincount`` still sums them
+    in row order and the gains are those of a per-group count, bit for
+    bit."""
     stats = PruneStats()
     n = dev.shape[0]
     groups = factset.groups
     gains = np.full(factset.n_facts, -np.inf, dtype=np.float64)
+    group_sizes = np.diff(factset.offsets)
 
-    def compute(g: int) -> float:
-        lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-        gains[lo:hi] = U.group_gains(dev, target, groups[g])
-        stats.rows_processed += n
-        stats.facts_evaluated += groups[g].n_facts
-        return float(gains[lo:hi].max())
+    def compute(selected: np.ndarray) -> float:
+        """Fill in the gains of the groups flagged in ``selected``;
+        returns their maximum."""
+        if not selected.any():
+            return -np.inf
+        rows = factset.row_to_fact if selected.all() else factset.row_to_fact[selected]
+        # Gain of fact f = Σ_{r in scope} max(0, dev_r - |v_f - v_r|):
+        # the one (groups, n) float temporary, updated in place.
+        contrib = factset.values[rows]
+        contrib -= target
+        np.abs(contrib, out=contrib)
+        np.subtract(dev, contrib, out=contrib)
+        np.maximum(contrib, 0.0, out=contrib)
+        sums = np.bincount(rows.ravel(), weights=contrib.ravel(), minlength=factset.n_facts)
+        facts = np.repeat(selected, group_sizes)
+        gains[facts] = sums[facts]
+        stats.rows_processed += n * rows.shape[0]
+        stats.facts_evaluated += int(group_sizes[selected].sum())
+        return float(gains[facts].max())
 
-    best_so_far = -np.inf
-    for s in plan.sources:
-        best_so_far = max(best_so_far, compute(s))
+    sources = np.zeros(len(groups), dtype=bool)
+    sources[list(plan.sources)] = True
+    best_so_far = compute(sources)
 
-    alive = np.ones(len(groups), dtype=bool)
-    alive[list(plan.sources)] = False
+    alive = ~sources
     for t in plan.targets:
         if not alive[t]:
             continue  # already pruned as a specialization
@@ -110,8 +130,7 @@ def pruned_gains(
             alive &= ~victims
             stats.groups_pruned += int(victims.sum())
 
-    for g in np.flatnonzero(alive):
-        best_so_far = max(best_so_far, compute(int(g)))
+    compute(alive)
     return gains, stats
 
 

@@ -20,23 +20,13 @@ from .facts import FactGroup, FactSet
 from .model import Problem
 
 
-def group_gains(dev: np.ndarray, target: np.ndarray, group: FactGroup) -> np.ndarray:
-    """Utility gain of every fact in ``group`` given current deviations.
-
-    Gain of fact ``f`` = Σ_{r in scope} max(0, dev_r - |v_f - v_r|) —
-    the paper's ``Γ_{ΣU,F}(R ⋈_M F)`` specialised to one fact group
-    (each row joins exactly one fact of the group).
-    """
-    new_dev = np.abs(group.fact_values[group.row_to_fact] - target)
-    contrib = np.maximum(dev - new_dev, 0.0)
-    return np.bincount(group.row_to_fact, weights=contrib, minlength=group.n_facts)
-
-
 def group_deviation_bounds(dev: np.ndarray, group: FactGroup) -> np.ndarray:
     """Upper bound on the gain of any fact in ``group`` (Algorithm 3,
     Line 15): summed current deviation per value combination — a fact
-    can at most zero out error inside its scope."""
-    return np.bincount(group.row_to_fact, weights=dev, minlength=group.n_facts)
+    can at most zero out error inside its scope. Every fact of the group
+    covers a row and the group's facts have contiguous global ids, so
+    the count ends with them."""
+    return np.bincount(group.row_to_fact, weights=dev)[-group.n_facts :]
 
 
 def apply_fact(
@@ -44,10 +34,9 @@ def apply_fact(
 ) -> np.ndarray:
     """Return deviations after the user also hears fact ``fact_id``
     (the paper's Line 11, ``Π_E(R ⋈_M f*)``). Pure: input untouched."""
-    g, local = factset.group_of(fact_id)
-    grp = factset.groups[g]
-    in_scope = grp.row_to_fact == local
-    return np.where(in_scope, np.minimum(dev, np.abs(grp.fact_values[local] - target)), dev)
+    g, _ = factset.group_of(fact_id)
+    in_scope = factset.row_to_fact[g] == fact_id
+    return np.where(in_scope, np.minimum(dev, np.abs(factset.values[fact_id] - target)), dev)
 
 
 def speech_deviation(problem: Problem, factset: FactSet, fact_ids: list[int]) -> np.ndarray:

@@ -63,9 +63,9 @@ class TestEnumeration:
 
     def test_rows_of_fact_partition(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        for g in fs.groups:
+        for g, lo in zip(fs.groups, fs.offsets):
             seen = np.concatenate(
-                [np.flatnonzero(g.row_to_fact == i) for i in range(g.n_facts)]
+                [np.flatnonzero(g.row_to_fact == lo + i) for i in range(g.n_facts)]
             )
             assert sorted(seen) == list(range(grid_problem.n_rows))
 
@@ -75,7 +75,7 @@ class TestEnumeration:
         codes = grid_problem.dim_matrix[:, list(g.dims)]
         for i in range(g.n_facts):
             in_scope = (codes == g.fact_codes[i]).all(axis=1)
-            assert np.array_equal(g.row_to_fact == i, in_scope)
+            assert np.array_equal(g.row_to_fact == fs.offsets[3] + i, in_scope)
 
     def test_global_id_roundtrip(self, grid_problem):
         fs = enumerate_facts(grid_problem)
@@ -95,8 +95,8 @@ class TestEnumeration:
     def test_fact_value_matches_subset_mean(self, grid_problem):
         fs = enumerate_facts(grid_problem)
         for fid in range(fs.n_facts):
-            g, local = fs.group_of(fid)
-            rows = fs.groups[g].row_to_fact == local
+            g, _ = fs.group_of(fid)
+            rows = fs.groups[g].row_to_fact == fid
             assert fs.fact(fid).value == pytest.approx(
                 grid_problem.target[rows].mean()
             )
@@ -170,15 +170,18 @@ def assert_matches_reference(problem, max_extra_dims):
     fs = enumerate_facts(problem, max_extra_dims=max_extra_dims)
     ref = reference_groups(problem, max_extra_dims)
     assert [g.dims for g in fs.groups] == [r[0] for r in ref]
-    for g, (_, row_to_fact, codes, values, counts) in zip(fs.groups, ref):
+    for g, lo, (_, row_to_fact, codes, values, counts) in zip(fs.groups, fs.offsets, ref):
         for got, want in [
-            (g.row_to_fact, row_to_fact),
+            (g.row_to_fact, row_to_fact + np.int32(lo)),
             (g.fact_codes, codes),
             (g.fact_values, values),
             (g.fact_counts, counts),
         ]:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), g.dims
+        # the group's arrays are views of the fact set's stacked ones
+        assert np.shares_memory(g.row_to_fact, fs.row_to_fact)
+        assert np.shares_memory(g.fact_values, fs.values)
     assert fs.n_facts == sum(r[2].shape[0] for r in ref)
 
 
@@ -241,7 +244,7 @@ class TestScopesAndContainment:
     @settings(max_examples=100, deadline=None)
     @given(coded_problems(), st.integers(0, 2**32 - 1))
     def test_row_to_fact_is_the_labelled_scope(self, case, seed):
-        """Each fact's ``row_to_fact == local`` rows are the rows its
+        """Each fact's ``row_to_fact == fact_id`` rows are the rows its
         labelled scope selects; its value is their mean target, and
         ``apply_fact`` lowers deviation on exactly those rows."""
         problem, extra = case
@@ -256,8 +259,8 @@ class TestScopesAndContainment:
             in_scope = np.ones(problem.n_rows, dtype=bool)
             for name, value in fact.scope:
                 in_scope &= labels[name] == value
-            g, local = fs.group_of(fid)
-            assert np.array_equal(fs.groups[g].row_to_fact == local, in_scope)
+            g, _ = fs.group_of(fid)
+            assert np.array_equal(fs.groups[g].row_to_fact == fid, in_scope)
             assert fact.value == pytest.approx(problem.target[in_scope].mean())
             rows = np.flatnonzero(in_scope)
             want = dev.copy()

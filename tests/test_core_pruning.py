@@ -5,10 +5,11 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import planner
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
-from repro.core.pruning import PruningPlan, naive_plan, pruned_gains
+from repro.core.pruning import PruningPlan, full_plan, naive_plan, pruned_gains
 from repro.core import utility as U
 
 
@@ -17,6 +18,23 @@ def rand_problem(seed, n=40, dims=("a", "b", "c")):
     df = pd.DataFrame({d: rng.choice(list("xyzuv"), n) for d in dims})
     df["t"] = np.round(rng.random(n) * 100, 1)
     return Problem.from_pandas(df, list(dims), "t")
+
+
+def reference_gains(dev, target, fs):
+    """Every fact's gain from one ``bincount`` per group over the
+    group's local fact ids: the kernel the batched one replaced."""
+    out = []
+    for grp, lo in zip(fs.groups, fs.offsets):
+        local = grp.row_to_fact - lo
+        contrib = np.maximum(dev - np.abs(grp.fact_values[local] - target), 0.0)
+        out.append(np.bincount(local, weights=contrib, minlength=grp.n_facts))
+    return np.concatenate(out)
+
+
+def forced_opt_prune(fs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "PLANNING_THRESHOLD", 0)
+        return planner.opt_prune(fs)
 
 
 class TestNaivePlan:
@@ -50,10 +68,7 @@ class TestPrunedGains:
         p = rand_problem(seed)
         fs = enumerate_facts(p)
         dev = p.prior_deviation()
-        full = np.empty(fs.n_facts)
-        for g, grp in enumerate(fs.groups):
-            lo, hi = int(fs.offsets[g]), int(fs.offsets[g + 1])
-            full[lo:hi] = U.group_gains(dev, p.target, grp)
+        full = reference_gains(dev, p.target, fs)
         pruned, _ = pruned_gains(dev, p.target, fs, naive_plan(fs))
         assert pruned.max() == pytest.approx(full.max())
 
@@ -63,13 +78,9 @@ class TestPrunedGains:
         fs = enumerate_facts(p)
         dev = p.prior_deviation()
         # apply the globally best fact first
-        full = np.concatenate(
-            [U.group_gains(dev, p.target, g) for g in fs.groups]
-        )
+        full = reference_gains(dev, p.target, fs)
         dev = U.apply_fact(dev, p.target, fs, int(np.argmax(full)))
-        full2 = np.concatenate(
-            [U.group_gains(dev, p.target, g) for g in fs.groups]
-        )
+        full2 = reference_gains(dev, p.target, fs)
         pruned, _ = pruned_gains(dev, p.target, fs, naive_plan(fs))
         assert pruned.max() == pytest.approx(full2.max())
 
@@ -125,10 +136,49 @@ class TestPrunedGains:
         if stats.groups_pruned > 0:
             assert stats.facts_evaluated < fs.n_facts
         # and still correct
-        full = np.concatenate(
-            [U.group_gains(p.prior_deviation(), p.target, g) for g in fs.groups]
-        )
+        full = reference_gains(p.prior_deviation(), p.target, fs)
         assert gains.max() == pytest.approx(full.max())
+
+
+class TestBatchedKernel:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 200),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.sampled_from(["full", "naive", "opt"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gains_equal_per_group_bincount(self, seed, d, n, extra, applied, plan_name):
+        """The one-``bincount`` gains equal a per-group ``bincount``
+        exactly on every group the plan computes, mid-speech too; pruned
+        groups read ``-inf``, and the counters count what was scanned."""
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, rng.integers(1, 6, d), (n, d)) * rng.integers(1, 3, d)
+        target = np.round(rng.gamma(2.0, 10.0, n) + 50 * (codes[:, 0] > 0), 1)
+        labels = [np.arange(codes[:, j].max() + 1).astype(str) for j in range(d)]
+        p = Problem([f"d{j}" for j in range(d)], codes, labels, target, float(target.mean()))
+        fs = enumerate_facts(p, max_extra_dims=extra)
+        dev = p.prior_deviation()
+        for fid in rng.integers(0, fs.n_facts, applied):
+            dev = U.apply_fact(dev, p.target, fs, int(fid))
+        plan = {"full": full_plan, "naive": naive_plan, "opt": forced_opt_prune}[plan_name](fs)
+        gains, stats = pruned_gains(dev, p.target, fs, plan)
+        want = reference_gains(dev, p.target, fs)
+        computed = np.isfinite(gains)
+        assert np.array_equal(gains[computed], want[computed])
+        assert np.all(gains[~computed] == -np.inf)
+        if plan_name == "full":
+            assert computed.all()
+        groups_computed = 0
+        for g in range(len(fs.groups)):
+            block = computed[fs.offsets[g] : fs.offsets[g + 1]]
+            assert block.all() or not block.any()  # whole groups only
+            groups_computed += int(block.all())
+        assert stats.facts_evaluated == int(computed.sum())
+        assert stats.rows_processed == n * (groups_computed + stats.bounds_computed)
+        assert gains.max() == want.max()
 
 
 class TestGreedyWithPruning:

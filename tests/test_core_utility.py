@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.facts import enumerate_facts
 from repro.core.model import Problem
-from repro.core.pruning import single_fact_utilities
+from repro.core.pruning import full_plan, pruned_gains, single_fact_utilities
 from repro.core import utility as U
 
 
@@ -107,12 +107,9 @@ class TestHandComputedUtilities:
 class TestKernels:
     def test_group_gains_match_speech_utility(self):
         p, fs = grid(), enumerate_facts(grid())
-        dev = p.prior_deviation()
-        for g, grp in enumerate(fs.groups):
-            gains = U.group_gains(dev, p.target, grp)
-            for local in range(grp.n_facts):
-                fid = int(fs.offsets[g]) + local
-                assert gains[local] == pytest.approx(U.speech_utility(p, fs, [fid]))
+        gains, _ = pruned_gains(p.prior_deviation(), p.target, fs, full_plan(fs))
+        for fid in range(fs.n_facts):
+            assert gains[fid] == pytest.approx(U.speech_utility(p, fs, [fid]))
 
     def test_single_fact_utilities_vector(self):
         p, fs = grid(), enumerate_facts(grid())
@@ -126,10 +123,11 @@ class TestKernels:
         any fact's gain in that group."""
         p, fs = grid(), enumerate_facts(grid())
         dev = p.prior_deviation()
-        for grp in fs.groups:
+        gains, _ = pruned_gains(dev, p.target, fs, full_plan(fs))
+        for g, grp in enumerate(fs.groups):
             bounds = U.group_deviation_bounds(dev, grp)
-            gains = U.group_gains(dev, p.target, grp)
-            assert np.all(gains <= bounds + 1e-9)
+            assert bounds.shape == (grp.n_facts,)
+            assert np.all(gains[fs.offsets[g] : fs.offsets[g + 1]] <= bounds + 1e-9)
 
     def test_apply_fact_is_pure(self):
         p, fs = grid(), enumerate_facts(grid())
