@@ -8,13 +8,15 @@ stage is one Spark job for all targets:
    the :class:`~repro.pipeline.problems.QueryPlan`: each dimension
    dictionary-encoded once, every query with the indices of its rows;
 2. the plan is broadcast, and ``k = defaultParallelism`` tasks of a
-   ``mapInPandas`` job each solve every ``k``-th query (the plan lists
-   queries by decreasing row count) for every target, with the
-   per-problem solver (greedy G-B/G-P/G-O or exact E from
+   ``mapInPandas`` job each solve their share of the queries
+   (:meth:`~repro.pipeline.problems.QueryPlan.assign`: longest first,
+   each to the least-loaded task by estimated cost) for every target,
+   with the per-problem solver (greedy G-B/G-P/G-O or exact E from
    :mod:`repro.core`), and render the speech text. No row is
    replicated or shuffled, and each task makes one call into Python;
 3. the resulting speeches table is written as Parquet, partitioned by
-   target — the run-time component answers voice queries by lookup.
+   target, and read back with its known schema — the run-time component
+   answers voice queries by lookup.
 
 Facts for a query restrict up to ``config.max_extra_dims`` dimensions
 *beyond* the query predicates (Section III); dimensions fixed by the
@@ -24,7 +26,9 @@ subset shares their value (such facts duplicate coarser ones).
 from __future__ import annotations
 
 import json
+import sys
 import time
+import zipimport
 from typing import Callable
 
 import pandas as pd
@@ -131,6 +135,23 @@ def solve_queries(
     return pd.DataFrame(rows, columns=RESULT_SCHEMA.fieldNames())
 
 
+def drop_zip_importers() -> None:
+    """Drop every zip archive's importer from ``sys.path_importer_cache``.
+
+    PySpark starts each Python task with ``importlib.invalidate_caches()``,
+    and up to CPython 3.12 every cached ``zipimporter`` then reads
+    its archive's whole directory again: some 16 importers of packages
+    inside ``pyspark.zip``, about 0.15 CPU-s per task. The cache is only
+    a cache: a later import from the archive makes a new importer, which
+    takes the directory from ``zipimport._zip_directory_cache`` without
+    reading the archive. Called at the end of each solve task, so a
+    reused worker's next task has no archive to read. Nothing happens
+    where no zip importer is cached (Python 3.13 reads lazily anyway)."""
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
 def _solve_job(
     spark: SparkSession,
     data: DataFrame,
@@ -140,20 +161,24 @@ def _solve_job(
     exact_timeout: float | None,
 ) -> DataFrame:
     """One job solving every query of ``targets``: task ``i`` of ``k``
-    solves the plan's queries ``i, i + k, …``."""
+    solves the queries ``plan.assign(k)[i]``."""
     frame = data.select(
         *[sf.col(d).cast("string").alias(d) for d in config.dims],
         *[sf.col(t).cast("double").alias(t) for t in targets],
     ).toPandas()
-    shared = spark.sparkContext.broadcast(build_plan(frame, config, targets))
+    plan = build_plan(frame, config, targets)
     k = spark.sparkContext.defaultParallelism
+    tasks = plan.assign(k)
+    shared = spark.sparkContext.broadcast(plan)
 
     def solve_tasks(batches):
         plan = shared.value
         for batch in batches:
             for i in batch["id"].tolist():
-                if i < len(plan.queries):  # else: no query, no rows
-                    yield solve_queries(plan, plan.queries[i::k], targets, method, exact_timeout)
+                if tasks[i]:  # else: no query, no rows
+                    queries = [plan.queries[j] for j in tasks[i]]
+                    yield solve_queries(plan, queries, targets, method, exact_timeout)
+        drop_zip_importers()
 
     return spark.range(0, k, 1, numPartitions=k).mapInPandas(solve_tasks, schema=RESULT_SCHEMA)
 
@@ -183,5 +208,5 @@ def preprocess_all(
     out = _solve_job(spark, data, config, config.targets, method, None)
     if output_path is not None:
         out.write.mode("overwrite").partitionBy("target").parquet(output_path)
-        out = spark.read.parquet(output_path)
+        out = spark.read.schema(RESULT_SCHEMA).parquet(output_path)
     return out

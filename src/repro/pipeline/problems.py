@@ -20,9 +20,11 @@ the pipeline does not run it.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pandas as pd
@@ -31,6 +33,12 @@ from pyspark.sql import functions as sf
 
 from ..core.model import Problem, encode_column
 from .config import Config, KEY_SEP, KV_SEP, encode_key
+
+# Fixed cost of one problem in row visits (cutting it, planning, the
+# solver's set-up and rendering): about 1 ms, the time of some 20,000
+# row visits of the fact enumeration and gain kernels, as measured in
+# process on both flights benchmark workloads.
+PROBLEM_COST = 20_000
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,32 @@ class QueryPlan:
         """How many dimensions a fact may restrict beyond the query."""
         n_free = len(self.config.dims) - len(query.predicates)
         return min(self.config.max_extra_dims, n_free)
+
+    def cost(self, query: Query) -> int:
+        """Estimated cost of one of the query's problems, in row visits:
+        one pass over its rows per fact group (Σ_{s ≤ extra dims}
+        C(free, s) groups) plus :data:`PROBLEM_COST`."""
+        n_free = len(self.config.dims) - len(query.predicates)
+        groups = sum(comb(n_free, s) for s in range(self.extra_dims(query) + 1))
+        return len(query.rows) * groups + PROBLEM_COST
+
+    def assign(self, k: int) -> list[list[int]]:
+        """Split the queries into ``k`` tasks of about equal estimated
+        cost, as lists of indices into :attr:`queries`.
+
+        Longest processing time first (Graham, 1969): each query, by
+        decreasing :meth:`cost`, goes to the task with the least load so
+        far. Ties go to the lower query and task index, and loads are
+        integers, so the split depends on the plan alone."""
+        costs = [self.cost(q) for q in self.queries]
+        order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+        loads = [(0, t) for t in range(k)]
+        tasks: list[list[int]] = [[] for _ in range(k)]
+        for i in order:
+            load, t = heapq.heappop(loads)
+            tasks[t].append(i)
+            heapq.heappush(loads, (load + costs[i], t))
+        return tasks
 
 
 def _check_separators(what: str, value: str) -> None:

@@ -1,7 +1,11 @@
 """Integration tests for the Problem Generator and the batch
 pre-processing job — the distributed heart of the reproduction."""
+import importlib
 import json
 import re
+import sys
+import zipfile
+import zipimport
 
 import numpy as np
 import pandas as pd
@@ -15,7 +19,13 @@ from repro.pipeline import preprocess
 from repro.pipeline.config import Config, decode_key, encode_key
 from repro.experiments import solve_problems_locally
 from repro.pipeline import problems
-from repro.pipeline.preprocess import preprocess_all, preprocess_target, solve_queries
+from repro.pipeline.preprocess import (
+    RESULT_SCHEMA,
+    drop_zip_importers,
+    preprocess_all,
+    preprocess_target,
+    solve_queries,
+)
 from repro.pipeline.problems import build_plan, count_queries, explode_queries
 
 
@@ -183,6 +193,23 @@ class TestBatchJob:
         df = preprocess_all(spark, toy_sdf, CFG, method="G-B", output_path=out_dir)
         assert df.count() == count_queries(spark.createDataFrame(toy_pdf()), CFG)
         assert set(df.select("target").distinct().toPandas()["target"]) == {"delay"}
+        # read back with RESULT_SCHEMA, not an inferred one; the
+        # partition column ``target`` may move, so match fields by name
+        types = {f.name: f.dataType for f in df.schema.fields}
+        assert len(types) == len(df.schema.fields)
+        assert types == {f.name: f.dataType for f in RESULT_SCHEMA.fields}
+        cols = RESULT_SCHEMA.fieldNames()
+        inferred = spark.read.parquet(out_dir).select(cols).collect()
+        assert sorted(df.select(cols).collect()) == sorted(inferred)
+
+    def test_parquet_roundtrip_keeps_numeric_target_name(self, spark, tmp_path_factory):
+        """A target named like a number stays a string: the partition
+        column's type comes from RESULT_SCHEMA, not from its values."""
+        pdf = toy_pdf().rename(columns={"delay": "2019"})
+        cfg = Config(dims=CFG.dims, targets=("2019",), max_query_len=0)
+        out_dir = str(tmp_path_factory.mktemp("speeches"))
+        df = preprocess_all(spark, spark.createDataFrame(pdf), cfg, method="G-B", output_path=out_dir)
+        assert [r["target"] for r in df.select("target").collect()] == ["2019"]
 
     def test_methods_agree_on_utility(self, spark, toy_sdf):
         """G-B, G-P, G-O must produce equal-utility speeches; E at least
@@ -235,6 +262,116 @@ class TestOneSolvePath:
             local.drop(columns="solve_seconds").sort_values(order).reset_index(drop=True),
             check_exact=True,
         )
+
+
+def skewed_pdf(n=20_000):
+    """85 % of the rows in one region, enough rows that row visits
+    outweigh the fixed per-problem cost: the stride puts the whole table
+    and the large region in one task."""
+    rng = np.random.default_rng(5)
+    return pd.DataFrame(
+        {
+            "region": rng.choice(["North", "South", "East", "West"], n, p=[0.85, 0.05, 0.05, 0.05]),
+            "season": rng.choice(["Summer", "Winter"], n),
+            "daytime": rng.choice(["am", "pm"], n),
+            "delay": rng.random(n),
+        }
+    )
+
+
+class TestTaskAssignment:
+    """``QueryPlan.assign`` splits the queries into the solve job's tasks."""
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 50])
+    def test_every_query_once(self, k):
+        plan = build_plan(skewed_pdf(), CFG, ("delay",))
+        tasks = plan.assign(k)
+        assert len(tasks) == k
+        assert sorted(i for t in tasks for i in t) == list(range(len(plan.queries)))
+
+    def test_deterministic(self):
+        tasks = build_plan(toy_pdf(), CFG, ("delay",)).assign(4)
+        assert tasks == build_plan(toy_pdf(), CFG, ("delay",)).assign(4)
+
+    def test_no_worse_than_stride_on_skewed_plan(self):
+        plan = build_plan(skewed_pdf(), CFG, ("delay",))
+        cost = [plan.cost(q) for q in plan.queries]
+        k = 4
+        stride = max(sum(cost[i::k]) for i in range(k))
+        balanced = max(sum(cost[i] for i in t) for t in plan.assign(k))
+        assert balanced < 0.8 * stride  # 275,578 against 373,826
+
+    def test_cost_counts_rows_per_fact_group(self):
+        plan = build_plan(toy_pdf(), CFG, ("delay",))
+        by_key = {q.key: q for q in plan.queries}
+        # no predicate: 3 free dims, facts on <= 2 of them: 1 + 3 + 3 groups
+        assert plan.cost(by_key[""]) == 60 * 7 + problems.PROBLEM_COST
+        # two predicates: 1 free dim, 1 + 1 groups
+        q = next(q for q in plan.queries if len(q.predicates) == 2)
+        assert plan.cost(q) == len(q.rows) * 2 + problems.PROBLEM_COST
+
+    def test_empty_tasks_yield_no_rows(self, spark, toy_sdf):
+        cfg = Config(dims=CFG.dims, targets=CFG.targets, max_query_len=0)
+        k = spark.sparkContext.defaultParallelism
+        plan = build_plan(toy_pdf(), cfg, cfg.targets)
+        assert [len(t) for t in plan.assign(k)] == [1] + [0] * (k - 1)
+        out = preprocess_target(spark, toy_sdf, cfg, "delay", method="G-B")
+        assert out.count() == 1
+
+
+class TestDropZipImporters:
+    """``drop_zip_importers`` keeps ``importlib.invalidate_caches()``
+    from re-reading zip archives on ``sys.path``, and imports from them
+    still work."""
+
+    @pytest.fixture
+    def archive(self, tmp_path, monkeypatch):
+        path = tmp_path / "zipped.zip"
+        with zipfile.ZipFile(path, "w") as z:
+            z.writestr("zipped_pkg/__init__.py", "")
+            z.writestr("zipped_pkg/first.py", "VALUE = 1\n")
+            z.writestr("zipped_pkg/second.py", "VALUE = 2\n")
+        monkeypatch.syspath_prepend(str(path))
+        yield str(path)
+        for name in [m for m in sys.modules if m.startswith("zipped_pkg")]:
+            del sys.modules[name]
+        for key in [k for k in sys.path_importer_cache if k.startswith(str(path))]:
+            del sys.path_importer_cache[key]
+        zipimport._zip_directory_cache.pop(str(path), None)
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Archive paths whose directory ``zipimport`` reads."""
+        seen = []
+        real = zipimport._read_directory
+
+        def counting(path):
+            seen.append(path)
+            return real(path)
+
+        monkeypatch.setattr(zipimport, "_read_directory", counting)
+        return seen
+
+    def test_invalidate_reads_no_archive_after_drop(self, archive, reads):
+        importlib.import_module("zipped_pkg.first")
+        importlib.invalidate_caches()
+        if sys.version_info < (3, 13):  # from 3.13, zip importers read lazily
+            assert archive in reads
+        reads.clear()
+        drop_zip_importers()
+        importlib.invalidate_caches()
+        assert reads == []
+        second = importlib.import_module("zipped_pkg.second")
+        assert second.VALUE == 2
+        assert second.__spec__.origin.startswith(archive)
+        assert reads == []  # the new importer reuses the cached directory
+
+    def test_no_op_without_zip_importers(self, reads):
+        drop_zip_importers()
+        before = dict(sys.path_importer_cache)
+        drop_zip_importers()
+        assert sys.path_importer_cache == before
+        assert reads == []
 
 
 class TestHostileInputs:
