@@ -1,5 +1,10 @@
 """Generic batch pre-processing entrypoint: generate all speeches for a
-dataset and materialize them as Parquet for the run-time lookup.
+dataset and materialize them for the run-time lookup.
+
+The driver writes the speech table as one Parquet file into
+``<out_dir>``, replacing that directory. ``<out_dir>`` is a path on the
+driver's file system, plain or as a ``file://`` URI; other schemes
+(``hdfs://``, ``s3a://``) are rejected.
 
 Usage: spark-submit jobs/preprocess_dataset.py <dataset> <sf> <method> <out_dir>
 e.g.   spark-submit jobs/preprocess_dataset.py flights 0.0004 G-O /tmp/speeches

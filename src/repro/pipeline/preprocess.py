@@ -14,9 +14,11 @@ stage is one Spark job for all targets:
    with the per-problem solver (greedy G-B/G-P/G-O or exact E from
    :mod:`repro.core`), and render the speech text. No row is
    replicated or shuffled, and each task makes one call into Python;
-3. the resulting speeches table is written as Parquet, partitioned by
-   target, and read back with its known schema — the run-time component
-   answers voice queries by lookup.
+3. the driver collects the speech rows (one per (target, query); a few
+   hundred to some 17,000 at paper scale) with Arrow, writes them in
+   (target, query_key) order as one Parquet file, and reads the table
+   back with its known schema — the run-time component answers voice
+   queries by lookup.
 
 Facts for a query restrict up to ``config.max_extra_dims`` dimensions
 *beyond* the query predicates (Section III); dimensions fixed by the
@@ -26,14 +28,20 @@ subset shares their value (such facts duplicate coarser ones).
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import sys
 import time
 import zipimport
 from typing import Callable
+from urllib.parse import urlsplit
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as sf
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     DoubleType,
     LongType,
@@ -162,9 +170,17 @@ def _solve_job(
 ) -> DataFrame:
     """One job solving every query of ``targets``: task ``i`` of ``k``
     solves the queries ``plan.assign(k)[i]``."""
+    types = dict(data.dtypes)
+
+    def as_type(name: str, dtype: str):
+        # a no-op cast leaves the same physical plan but costs the
+        # driver analysis and planning time on every pass
+        col = sf.col(name)
+        return col if types.get(name) == dtype else col.cast(dtype).alias(name)
+
     frame = data.select(
-        *[sf.col(d).cast("string").alias(d) for d in config.dims],
-        *[sf.col(t).cast("double").alias(t) for t in targets],
+        *[as_type(d, "string") for d in config.dims],
+        *[as_type(t, "double") for t in targets],
     ).toPandas()
     plan = build_plan(frame, config, targets)
     k = spark.sparkContext.defaultParallelism
@@ -195,6 +211,21 @@ def preprocess_target(
     return _solve_job(spark, data, config, (target,), method, exact_timeout)
 
 
+def local_path(output_path: str) -> str:
+    """The absolute driver-local path of ``output_path``: a plain path or
+    a ``file://`` URI. Any other scheme (``hdfs://``, ``s3a://``, ...)
+    raises ``ValueError``: the driver writes the speech table itself."""
+    parts = urlsplit(output_path)
+    if parts.scheme == "":
+        return os.path.abspath(output_path)
+    if parts.scheme == "file" and parts.netloc in ("", "localhost"):
+        return os.path.abspath(parts.path)
+    raise ValueError(
+        f"output_path {output_path!r} is not a driver-local path; "
+        "give a plain path or a file:// URI"
+    )
+
+
 def preprocess_all(
     spark: SparkSession,
     data: DataFrame,
@@ -203,10 +234,22 @@ def preprocess_all(
     output_path: str | None = None,
 ) -> DataFrame:
     """Run the batch stage for every target in one job; optionally
-    materialize to Parquet (partitioned by target) for the run-time
-    lookup."""
+    materialize the speech table for the run-time lookup.
+
+    With ``output_path`` (a driver-local directory, see
+    :func:`local_path`) the driver collects the job's rows, replaces
+    the directory at ``output_path`` with one holding a single Parquet
+    file of the rows in (target, query_key) order, and returns that
+    table read back with ``RESULT_SCHEMA``. The old directory is removed
+    only after the solve job has succeeded."""
+    path = None if output_path is None else local_path(output_path)
     out = _solve_job(spark, data, config, config.targets, method, None)
-    if output_path is not None:
-        out.write.mode("overwrite").partitionBy("target").parquet(output_path)
-        out = spark.read.schema(RESULT_SCHEMA).parquet(output_path)
-    return out
+    if path is None:
+        return out
+    rows = out.toPandas().sort_values(["target", "query_key"], ignore_index=True)
+    table = pa.Table.from_pandas(rows, schema=to_arrow_schema(RESULT_SCHEMA), preserve_index=False)
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    os.makedirs(path)
+    pq.write_table(table, os.path.join(path, "speeches.parquet"))
+    return spark.read.schema(RESULT_SCHEMA).parquet(path)

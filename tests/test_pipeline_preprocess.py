@@ -9,6 +9,7 @@ import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as sf
 
@@ -193,11 +194,12 @@ class TestBatchJob:
         df = preprocess_all(spark, toy_sdf, CFG, method="G-B", output_path=out_dir)
         assert df.count() == count_queries(spark.createDataFrame(toy_pdf()), CFG)
         assert set(df.select("target").distinct().toPandas()["target"]) == {"delay"}
-        # read back with RESULT_SCHEMA, not an inferred one; the
-        # partition column ``target`` may move, so match fields by name
+        # read back with RESULT_SCHEMA, not an inferred one; ``target``
+        # is an ordinary column, so the columns keep RESULT_SCHEMA's order
         types = {f.name: f.dataType for f in df.schema.fields}
         assert len(types) == len(df.schema.fields)
         assert types == {f.name: f.dataType for f in RESULT_SCHEMA.fields}
+        assert df.columns == RESULT_SCHEMA.fieldNames()
         cols = RESULT_SCHEMA.fieldNames()
         inferred = spark.read.parquet(out_dir).select(cols).collect()
         assert sorted(df.select(cols).collect()) == sorted(inferred)
@@ -210,6 +212,34 @@ class TestBatchJob:
         out_dir = str(tmp_path_factory.mktemp("speeches"))
         df = preprocess_all(spark, spark.createDataFrame(pdf), cfg, method="G-B", output_path=out_dir)
         assert [r["target"] for r in df.select("target").collect()] == ["2019"]
+
+    def test_non_string_columns_are_cast(self, spark, monkeypatch):
+        """An integer dimension is keyed by its values as strings and an
+        integer target is solved as float64: the speeches equal those of
+        the same table given as strings and doubles."""
+        frames = []
+
+        def capture(frame, config, targets):
+            frames.append(frame)
+            return build_plan(frame, config, targets)
+
+        monkeypatch.setattr(preprocess, "build_plan", capture)
+        ints = toy_pdf().assign(daytime=lambda d: np.where(d["daytime"] == "am", 9, 15))
+        ints["delay"] = (ints["delay"] * 10).astype(np.int64)
+        strs = ints.assign(daytime=ints["daytime"].astype(str), delay=ints["delay"].astype(float))
+        order = ["target", "query_key"]
+        tables = [
+            preprocess_all(spark, spark.createDataFrame(pdf), CFG, method="G-B")
+            .toPandas()
+            .drop(columns="solve_seconds")
+            .sort_values(order, ignore_index=True)
+            for pdf in (ints, strs)
+        ]
+        for frame in frames:
+            assert frame["daytime"].map(type).eq(str).all()
+            assert frame["delay"].dtype == np.float64
+        assert encode_key({"daytime": "15"}) in set(tables[0]["query_key"])
+        pd.testing.assert_frame_equal(tables[0], tables[1], check_exact=True)
 
     def test_methods_agree_on_utility(self, spark, toy_sdf):
         """G-B, G-P, G-O must produce equal-utility speeches; E at least
@@ -232,6 +262,73 @@ def two_target_pdf():
     pdf = toy_pdf()
     pdf["cancelled"] = (np.random.default_rng(9).random(len(pdf)) < 0.2).astype(float)
     return pdf
+
+
+TWO_TARGETS = Config(dims=CFG.dims, targets=("delay", "cancelled"), speech_length=2)
+
+
+class TestSpeechTable:
+    """``preprocess_all(output_path=...)`` replaces the directory with one
+    Parquet file of the speech rows and reads it back."""
+
+    def test_one_file_sorted_by_target_and_query(self, spark, tmp_path):
+        out_dir = tmp_path / "speeches"
+        df = preprocess_all(
+            spark, spark.createDataFrame(two_target_pdf()), TWO_TARGETS, "G-B", str(out_dir)
+        )
+        assert [f.name for f in out_dir.iterdir()] == ["speeches.parquet"]
+        table = pq.read_table(out_dir / "speeches.parquet")
+        keys = list(zip(table["target"].to_pylist(), table["query_key"].to_pylist()))
+        assert keys == sorted(set(keys))
+        assert len(keys) == df.count() == 2 * count_queries(spark.createDataFrame(toy_pdf()), CFG)
+
+    def test_target_name_with_path_characters(self, spark, tmp_path):
+        pdf = toy_pdf().rename(columns={"delay": "délai/min"})
+        cfg = Config(dims=CFG.dims, targets=("délai/min",), max_query_len=0)
+        df = preprocess_all(spark, spark.createDataFrame(pdf), cfg, "G-B", str(tmp_path / "s"))
+        assert [r["target"] for r in df.select("target").collect()] == ["délai/min"]
+
+    def test_empty_input_gives_empty_table(self, spark, tmp_path):
+        empty = spark.createDataFrame([], TestHostileInputs.SCHEMA)
+        df = preprocess_all(spark, empty, CFG, "G-B", str(tmp_path / "speeches"))
+        assert df.schema == RESULT_SCHEMA
+        assert df.count() == 0
+
+    def test_overwrite_leaves_no_previous_rows(self, spark, tmp_path):
+        out_dir = str(tmp_path / "speeches")
+        data = spark.createDataFrame(two_target_pdf())
+        preprocess_all(spark, data, TWO_TARGETS, "G-B", out_dir)
+        one = Config(dims=CFG.dims, targets=("delay",), max_query_len=0)
+        df = preprocess_all(spark, data, one, "G-B", out_dir)
+        assert [(r["target"], r["query_key"]) for r in df.collect()] == [("delay", "")]
+
+    def test_failed_solve_keeps_previous_table(self, spark, tmp_path):
+        out_dir = str(tmp_path / "speeches")
+        one = Config(dims=CFG.dims, targets=("delay",), max_query_len=0)
+        preprocess_all(spark, spark.createDataFrame(toy_pdf()), one, "G-B", out_dir)
+        bad = TestHostileInputs.ROWS + [("East", None, "am", 5.0)]
+        with pytest.raises(ValueError, match="'season' has NULL"):
+            preprocess_all(
+                spark, spark.createDataFrame(bad, TestHostileInputs.SCHEMA), one, "G-B", out_dir
+            )
+        rows = spark.read.schema(RESULT_SCHEMA).parquet(out_dir).collect()
+        assert [(r["query_key"], r["n_rows"]) for r in rows] == [("", 60)]
+
+    def test_file_uri(self, spark, toy_sdf, tmp_path):
+        out_dir = tmp_path / "speeches"
+        cfg = Config(dims=CFG.dims, targets=CFG.targets, max_query_len=0)
+        df = preprocess_all(spark, toy_sdf, cfg, "G-B", out_dir.as_uri())
+        assert (out_dir / "speeches.parquet").is_file()
+        assert df.count() == 1
+
+    @pytest.mark.parametrize("uri", ["hdfs://namenode/speeches", "s3a://bucket/speeches"])
+    def test_rejects_paths_the_driver_cannot_write(self, spark, toy_sdf, monkeypatch, uri):
+        def no_job(*args):
+            raise AssertionError("the solve job ran")
+
+        monkeypatch.setattr(preprocess, "_solve_job", no_job)
+        with pytest.raises(ValueError, match="not a driver-local path"):
+            preprocess_all(spark, toy_sdf, CFG, output_path=uri)
 
 
 class TestOneSolvePath:
