@@ -2,8 +2,9 @@
 dataset and materialize them for the run-time lookup.
 
 The driver writes the speech table as one Parquet file into
-``<out_dir>``, replacing that directory. ``<out_dir>`` is a path on the
-driver's file system, plain or as a ``file://`` URI; other schemes
+``<out_dir>``, replacing that directory if it holds a speech table and
+refusing if it holds anything else. ``<out_dir>`` is a non-empty path on
+the driver's file system, plain or as a ``file://`` URI; other schemes
 (``hdfs://``, ``s3a://``) are rejected.
 
 Usage: spark-submit jobs/preprocess_dataset.py <dataset> <sf> <method> <out_dir>

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import shutil
 import sys
 import time
@@ -170,17 +171,9 @@ def _solve_job(
 ) -> DataFrame:
     """One job solving every query of ``targets``: task ``i`` of ``k``
     solves the queries ``plan.assign(k)[i]``."""
-    types = dict(data.dtypes)
-
-    def as_type(name: str, dtype: str):
-        # a no-op cast leaves the same physical plan but costs the
-        # driver analysis and planning time on every pass
-        col = sf.col(name)
-        return col if types.get(name) == dtype else col.cast(dtype).alias(name)
-
     frame = data.select(
-        *[as_type(d, "string") for d in config.dims],
-        *[as_type(t, "double") for t in targets],
+        *[sf.col(d).cast("string").alias(d) for d in config.dims],
+        *[sf.col(t).cast("double").alias(t) for t in targets],
     ).toPandas()
     plan = build_plan(frame, config, targets)
     k = spark.sparkContext.defaultParallelism
@@ -211,18 +204,41 @@ def preprocess_target(
     return _solve_job(spark, data, config, (target,), method, exact_timeout)
 
 
+SPEECH_FILE = "speeches.parquet"
+
+
 def local_path(output_path: str) -> str:
     """The absolute driver-local path of ``output_path``: a plain path or
-    a ``file://`` URI. Any other scheme (``hdfs://``, ``s3a://``, ...)
-    raises ``ValueError``: the driver writes the speech table itself."""
+    a ``file://`` URI. An empty path, and any other scheme (``hdfs://``,
+    ``s3a://``, ...), raises ``ValueError``: the driver writes the speech
+    table itself, and an empty path would name the working directory."""
     parts = urlsplit(output_path)
     if parts.scheme == "":
-        return os.path.abspath(output_path)
-    if parts.scheme == "file" and parts.netloc in ("", "localhost"):
-        return os.path.abspath(parts.path)
-    raise ValueError(
-        f"output_path {output_path!r} is not a driver-local path; "
-        "give a plain path or a file:// URI"
+        path = output_path
+    elif parts.scheme == "file" and parts.netloc in ("", "localhost"):
+        path = parts.path
+    else:
+        raise ValueError(
+            f"output_path {output_path!r} is not a driver-local path; "
+            "give a plain path or a file:// URI"
+        )
+    if not path:
+        raise ValueError(f"output_path {output_path!r} names no directory")
+    return os.path.abspath(path)
+
+
+def is_speech_table(path: str) -> bool:
+    """Whether ``path`` is a directory holding only what a speech-table
+    write leaves: :data:`SPEECH_FILE`, or the part files, ``target=``
+    directories, ``_SUCCESS`` and ``.crc`` checksums of Spark's writer.
+    Only such a directory is replaced by :func:`preprocess_all`."""
+    if os.path.islink(path) or not os.path.isdir(path):
+        return False
+    return all(
+        name in (SPEECH_FILE, "_SUCCESS")
+        or name.startswith(("part-", "target="))
+        or (name.startswith(".") and name.endswith(".crc"))
+        for name in os.listdir(path)
     )
 
 
@@ -240,9 +256,13 @@ def preprocess_all(
     :func:`local_path`) the driver collects the job's rows, replaces
     the directory at ``output_path`` with one holding a single Parquet
     file of the rows in (target, query_key) order, and returns that
-    table read back with ``RESULT_SCHEMA``. The old directory is removed
-    only after the solve job has succeeded."""
+    table read back with ``RESULT_SCHEMA``. If ``output_path`` exists
+    and is not a speech table (:func:`is_speech_table`), ``ValueError``
+    is raised before the job runs. The old table is removed only after
+    the solve job has succeeded."""
     path = None if output_path is None else local_path(output_path)
+    if path is not None and os.path.lexists(path) and not is_speech_table(path):
+        raise ValueError(f"output_path {output_path!r} exists and is not a speech table")
     out = _solve_job(spark, data, config, config.targets, method, None)
     if path is None:
         return out
@@ -251,5 +271,6 @@ def preprocess_all(
     if os.path.isdir(path):
         shutil.rmtree(path)
     os.makedirs(path)
-    pq.write_table(table, os.path.join(path, "speeches.parquet"))
-    return spark.read.schema(RESULT_SCHEMA).parquet(path)
+    pq.write_table(table, os.path.join(path, SPEECH_FILE))
+    # a file:// URI: a bare path would resolve against fs.defaultFS
+    return spark.read.schema(RESULT_SCHEMA).parquet(pathlib.Path(path).as_uri())

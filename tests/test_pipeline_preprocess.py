@@ -11,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
+from pyspark.sql import DataFrameReader
 from pyspark.sql import functions as sf
 
 from repro.core.facts import enumerate_facts
@@ -321,14 +322,75 @@ class TestSpeechTable:
         assert (out_dir / "speeches.parquet").is_file()
         assert df.count() == 1
 
-    @pytest.mark.parametrize("uri", ["hdfs://namenode/speeches", "s3a://bucket/speeches"])
-    def test_rejects_paths_the_driver_cannot_write(self, spark, toy_sdf, monkeypatch, uri):
+    @pytest.mark.parametrize(
+        "uri, error",
+        [
+            ("hdfs://namenode/speeches", "not a driver-local path"),
+            ("s3a://bucket/speeches", "not a driver-local path"),
+            ("", "names no directory"),
+            ("file://", "names no directory"),
+            ("file:", "names no directory"),
+        ],
+    )
+    def test_rejects_paths_the_driver_cannot_write(self, spark, toy_sdf, monkeypatch, uri, error):
         def no_job(*args):
             raise AssertionError("the solve job ran")
 
         monkeypatch.setattr(preprocess, "_solve_job", no_job)
-        with pytest.raises(ValueError, match="not a driver-local path"):
+        with pytest.raises(ValueError, match=error):
             preprocess_all(spark, toy_sdf, CFG, output_path=uri)
+
+    @pytest.mark.parametrize("entry", ["notes.txt", "subdir", None])
+    def test_leaves_other_paths_in_place(self, spark, toy_sdf, monkeypatch, tmp_path, entry):
+        """A directory holding anything but a speech table, or a file, is
+        neither replaced nor written into, and the job does not run."""
+
+        def no_job(*args):
+            raise AssertionError("the solve job ran")
+
+        monkeypatch.setattr(preprocess, "_solve_job", no_job)
+        out = tmp_path / "speeches"
+        if entry is None:
+            out.write_text("not a table")
+        else:
+            out.mkdir()
+            (out / "speeches.parquet").write_bytes(b"")
+            if entry == "subdir":
+                (out / entry).mkdir()
+            else:
+                (out / entry).write_text("keep")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        with pytest.raises(ValueError, match="not a speech table"):
+            preprocess_all(spark, toy_sdf, CFG, output_path=str(out))
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+    def test_replaces_table_written_by_spark(self, spark, toy_sdf, tmp_path):
+        """A table in the layout of Spark's partitioned writer (part files,
+        ``target=`` directories, ``_SUCCESS``, ``.crc``) is replaced."""
+        out = tmp_path / "speeches"
+        cfg = Config(dims=CFG.dims, targets=CFG.targets, max_query_len=0)
+        old = preprocess_all(spark, toy_sdf, cfg, "G-B").toPandas()
+        spark.createDataFrame(old, RESULT_SCHEMA).write.partitionBy("target").parquet(str(out))
+        assert {"_SUCCESS", "target=delay"} <= {p.name for p in out.iterdir()}
+        df = preprocess_all(spark, toy_sdf, cfg, "G-B", str(out))
+        assert [p.name for p in out.iterdir()] == ["speeches.parquet"]
+        assert [r["query_key"] for r in df.collect()] == [""]
+
+    def test_reads_back_through_a_file_uri(self, spark, toy_sdf, monkeypatch, tmp_path):
+        """The read-back names the file system the driver wrote to, so it
+        does not depend on ``fs.defaultFS``."""
+        read = []
+        parquet = DataFrameReader.parquet
+
+        def record(self, *paths, **options):
+            read.extend(paths)
+            return parquet(self, *paths, **options)
+
+        monkeypatch.setattr(DataFrameReader, "parquet", record)
+        out = tmp_path / "speeches"
+        cfg = Config(dims=CFG.dims, targets=CFG.targets, max_query_len=0)
+        preprocess_all(spark, toy_sdf, cfg, "G-B", str(out))
+        assert read == [out.as_uri()]
 
 
 class TestOneSolvePath:
