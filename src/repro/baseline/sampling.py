@@ -50,33 +50,28 @@ def _estimated_gains(
     n_total: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-fact gain estimate and CI half-width from the sample, plus
-    per-fact sample value means/counts (for the spoken ranges)."""
+    per-fact sample value means/counts (for the spoken ranges).
+
+    Each statistic is one ``bincount`` over the sampled columns of
+    ``factset.row_to_fact``; a fact's sampled rows lie in its group's
+    row, so they are still summed in sample order."""
     s = len(sample_idx)
     target_s = factset.problem.target[sample_idx]
     k = factset.n_facts
-    est = np.zeros(k)
-    half = np.zeros(k)
-    v_mean = np.zeros(k)
-    v_count = np.zeros(k)
-    for g, grp in enumerate(factset.groups):
-        lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
-        r2f = grp.row_to_fact[sample_idx] - lo
-        # estimated typical value per fact from the sample
-        cnt = np.bincount(r2f, minlength=grp.n_facts).astype(float)
-        sums = np.bincount(r2f, weights=target_s, minlength=grp.n_facts)
-        means = np.divide(sums, cnt, out=np.zeros_like(sums), where=cnt > 0)
-        contrib = np.maximum(dev_sample - np.abs(means[r2f] - target_s), 0.0)
-        c_sum = np.bincount(r2f, weights=contrib, minlength=grp.n_facts)
-        c_sq = np.bincount(r2f, weights=contrib**2, minlength=grp.n_facts)
-        # population estimate: each sampled row is one draw of the
-        # row-contribution variable (zero outside scope)
-        mean_c = c_sum / s
-        var_c = np.maximum(c_sq / s - mean_c**2, 0.0)
-        est[lo:hi] = n_total * mean_c
-        half[lo:hi] = n_total * np.sqrt(var_c / s)
-        v_mean[lo:hi] = means
-        v_count[lo:hi] = cnt
-    return est, half, v_mean, v_count
+    r2f = factset.row_to_fact[:, sample_idx]  # (groups, s) global fact ids
+    flat = r2f.ravel()
+    # estimated typical value per fact from the sample
+    cnt = np.bincount(flat, minlength=k).astype(float)
+    sums = np.bincount(flat, weights=np.tile(target_s, r2f.shape[0]), minlength=k)
+    means = np.divide(sums, cnt, out=np.zeros_like(sums), where=cnt > 0)
+    contrib = np.maximum(dev_sample - np.abs(means[r2f] - target_s), 0.0)
+    c_sum = np.bincount(flat, weights=contrib.ravel(), minlength=k)
+    c_sq = np.bincount(flat, weights=(contrib**2).ravel(), minlength=k)
+    # population estimate: each sampled row is one draw of the
+    # row-contribution variable (zero outside scope)
+    mean_c = c_sum / s
+    var_c = np.maximum(c_sq / s - mean_c**2, 0.0)
+    return n_total * mean_c, n_total * np.sqrt(var_c / s), means, cnt
 
 
 def sampling_summary(

@@ -93,7 +93,7 @@ def exact_summary(
     best_ids = list(seed.extra["fact_ids"])
 
     reps = distinct_scopes(factset)
-    rows_processed += n * len(factset.groups)  # the scan behind the bitmaps
+    rows_processed += n * len(factset.group_dims)  # the scan behind the bitmaps
     # Line 6: single-fact utilities, from greedy's first iteration (with
     # m = 0 there is none, and the all-zero ranking expands no node)
     single = seed.extra["first_gains"] if m > 0 else np.zeros(factset.n_facts)

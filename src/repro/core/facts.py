@@ -9,9 +9,13 @@ identified by a *fact group* (the subset of dimension columns it
 additionally restricts) and one combination of values appearing in the
 data for those columns.
 
-Facts are stored group-wise: within a group every row is within scope
-of exactly one fact. ``FactSet.row_to_fact`` stacks every group's
-row→fact map as one ``(groups, n)`` array of *global* fact ids, so the
+:class:`FactSet` is the paper's fact relation ``F`` as flat arrays
+indexed by global fact id: ``values`` holds each fact's typical value
+and ``codes`` its value code per dimension, -1 where the fact does not
+restrict that dimension — the kernel form of ``F``'s nullable columns.
+A group's facts have contiguous ids. Within a group every row is within
+scope of exactly one fact, so ``row_to_fact`` stacks every group's
+row→fact map as one ``(groups, n)`` array of global ids, and the
 utility aggregation over any set of groups is a single ``bincount`` —
 the NumPy specialisation of the paper's ``Γ_{ΣU,F}(R ⋈_M F)``
 join-then-aggregate. It is the one scope representation: fact ``f``
@@ -28,21 +32,6 @@ from .model import Fact, Problem
 
 
 @dataclass
-class FactGroup:
-    """All facts restricting the same subset of dimension columns."""
-
-    dims: tuple[int, ...]  # restricted dimension indices (sorted); () = overall
-    row_to_fact: np.ndarray  # (n,) int32 — global fact id of each row (a view)
-    fact_values: np.ndarray  # (n_facts,) float64 — typical values (a view)
-    fact_codes: np.ndarray  # (n_facts, len(dims)) int32 — dim value codes
-    fact_counts: np.ndarray  # (n_facts,) int64 — rows within scope
-
-    @property
-    def n_facts(self) -> int:
-        return self.fact_values.shape[0]
-
-
-@dataclass
 class FactSet:
     """All candidate facts of a problem, grouped by restricted dims.
 
@@ -50,40 +39,40 @@ class FactSet:
     group ``t`` (restricts a superset of its dimensions, ``t`` itself
     included), so every fact of ``g`` lies within the scope of one fact
     of ``t``. Algorithm 3 prunes and the §VI-C cost model reasons by it.
-
-    Group ``g``'s ``row_to_fact`` and ``fact_values`` are views of
-    ``row_to_fact[g]`` and ``values[offsets[g]:offsets[g+1]]``, not
-    copies.
     """
 
     problem: Problem
-    groups: list[FactGroup]
-    offsets: np.ndarray  # (len(groups)+1,) — global id = offset[g] + local
-    contains: np.ndarray  # (len(groups), len(groups)) bool
-    row_to_fact: np.ndarray  # (len(groups), n) int32 — global fact id per row
+    group_dims: list[tuple[int, ...]]  # restricted dims per group (sorted); () = overall
+    offsets: np.ndarray  # (groups+1,) — group g's facts are offsets[g]:offsets[g+1]
+    contains: np.ndarray  # (groups, groups) bool
+    row_to_fact: np.ndarray  # (groups, n) int32 — global fact id per row
     values: np.ndarray  # (n_facts,) float64 — typical value per global id
+    codes: np.ndarray  # (n_facts, d) int32 — value code per dim, -1 = unrestricted
 
     @property
     def n_facts(self) -> int:
         return int(self.offsets[-1])
 
-    def group_of(self, fact_id: int) -> tuple[int, int]:
-        """Map a global fact id to ``(group_index, local_index)``."""
-        g = int(np.searchsorted(self.offsets, fact_id, side="right")) - 1
-        return g, fact_id - int(self.offsets[g])
+    @property
+    def group_sizes(self) -> np.ndarray:
+        """Facts per group: the paper's member count M(g)."""
+        return np.diff(self.offsets)
+
+    def group_of(self, fact_id: int) -> int:
+        """The group holding global fact id ``fact_id``."""
+        return int(np.searchsorted(self.offsets, fact_id, side="right")) - 1
 
     def fact(self, fact_id: int) -> Fact:
         """Materialize a global fact id as a labelled :class:`Fact`."""
-        g, local = self.group_of(fact_id)
-        grp = self.groups[g]
         p = self.problem
         scope = tuple(
             sorted(
-                (p.dim_names[d], str(p.dim_labels[d][grp.fact_codes[local, j]]))
-                for j, d in enumerate(grp.dims)
+                (p.dim_names[d], str(p.dim_labels[d][code]))
+                for d, code in enumerate(self.codes[fact_id])
+                if code >= 0
             )
         )
-        return Fact(scope=scope, value=float(grp.fact_values[local]))
+        return Fact(scope=scope, value=float(self.values[fact_id]))
 
 
 def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
@@ -108,47 +97,39 @@ def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
         dims for size in range(max_extra_dims + 1) for dims in combinations(range(d), size)
     ]
     stacked = np.empty((len(lattice), n), dtype=np.int32)
-    built: dict[tuple[int, ...], FactGroup] = {}
+    values, codes = [], []
+    built: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}  # local rows, codes
     for row_to_fact, dims in zip(stacked, lattice):
-        size = len(dims)
-        if size == 0:
+        if not dims:
             row_to_fact[:] = 0
-            fact_codes = np.zeros((1, 0), dtype=np.int32)
+            group_codes = np.full((1, d), -1, dtype=np.int32)
         else:
-            parent, c = built[dims[:-1]], card[dims[-1]]
-            key = parent.row_to_fact.astype(np.intp) * c + dm[:, dims[-1]]
-            cells = np.flatnonzero(np.bincount(key, minlength=parent.n_facts * c))
+            (parent_rows, parent_codes), c = built[dims[:-1]], card[dims[-1]]
+            key = parent_rows.astype(np.intp) * c + dm[:, dims[-1]]
+            n_cells = parent_codes.shape[0] * c
+            cells = np.flatnonzero(np.bincount(key, minlength=n_cells))
             # cell -> local fact id; only entries at ``cells`` are read
-            remap = np.empty(parent.n_facts * c, dtype=np.int32)
+            remap = np.empty(n_cells, dtype=np.int32)
             remap[cells] = np.arange(cells.shape[0], dtype=np.int32)
             np.take(remap, key, out=row_to_fact)
-            fact_codes = np.empty((cells.shape[0], size), dtype=np.int32)
-            fact_codes[:, :-1] = parent.fact_codes[cells // c]
-            fact_codes[:, -1] = cells % c
-        k = fact_codes.shape[0]
+            group_codes = parent_codes[cells // c]
+            group_codes[:, dims[-1]] = cells % c
+        k = group_codes.shape[0]
         sums = np.bincount(row_to_fact, weights=problem.target, minlength=k)
-        counts = np.bincount(row_to_fact, minlength=k).astype(np.int64)
-        built[dims] = FactGroup(
-            dims=dims,
-            row_to_fact=row_to_fact,
-            fact_values=sums / counts,
-            fact_codes=fact_codes,
-            fact_counts=counts,
-        )
-    groups = list(built.values())
-    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([g.n_facts for g in groups])
+        values.append(sums / np.bincount(row_to_fact, minlength=k))
+        codes.append(group_codes)
+        built[dims] = row_to_fact, group_codes
+    offsets = np.zeros(len(lattice) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([v.shape[0] for v in values])
     stacked += offsets[:-1, None].astype(np.int32)
-    values = np.concatenate([g.fact_values for g in groups])
-    for g, lo, hi in zip(groups, offsets[:-1], offsets[1:]):
-        g.fact_values = values[lo:hi]
-    masks = np.array([sum(1 << j for j in g.dims) for g in groups], dtype=np.int64)
+    masks = np.array([sum(1 << j for j in dims) for dims in lattice], dtype=np.int64)
     contains = (masks[:, None] & masks[None, :]) == masks[:, None]
     return FactSet(
         problem=problem,
-        groups=groups,
+        group_dims=lattice,
         offsets=offsets,
         contains=contains,
         row_to_fact=stacked,
-        values=values,
+        values=np.concatenate(values),
+        codes=np.concatenate(codes),
     )

@@ -78,13 +78,12 @@ def prune_probability(m_source, m_target, sigma: float, bound_scale: float = 1.0
 def opt_prune(factset: FactSet) -> PruningPlan:
     """OPTPRUNE: the minimum-estimated-cost plan among the candidates
     generated by Algorithm 4 (this is what makes variant G-O)."""
-    groups = factset.groups
-    n, k = factset.problem.n_rows, len(groups)
-    best_cost = sum(n + g.n_facts for g in groups)  # the trivial plan's cost
+    n, k = factset.problem.n_rows, len(factset.group_dims)
+    best_cost = n * k + factset.n_facts  # the trivial plan's cost, Σ_g (n + M(g))
     if best_cost < PLANNING_THRESHOLD:
         return full_plan(factset)
     order = source_order(factset)
-    m = np.array([g.n_facts for g in groups], dtype=np.float64)
+    m = factset.group_sizes.astype(np.float64)
     cu = n + m
     log_keep = np.log(
         np.clip(1.0 - prune_probability(m[:, None], m, SIGMA, BOUND_SCALE), 1e-300, 1.0)

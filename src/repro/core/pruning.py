@@ -54,8 +54,8 @@ def source_order(factset: FactSet) -> list[int]:
     """Group indices by ascending fact count, ties by dimensions: the
     order in which Algorithm 4 adds sources. Groups with few facts cover
     more rows each and so promise higher per-fact utility."""
-    groups = factset.groups
-    return sorted(range(len(groups)), key=lambda g: (groups[g].n_facts, groups[g].dims))
+    sizes, dims = factset.group_sizes, factset.group_dims
+    return sorted(range(len(dims)), key=lambda g: (sizes[g], dims[g]))
 
 
 def full_plan(factset: FactSet) -> PruningPlan:
@@ -90,9 +90,8 @@ def pruned_gains(
     bit."""
     stats = PruneStats()
     n = dev.shape[0]
-    groups = factset.groups
     gains = np.full(factset.n_facts, -np.inf, dtype=np.float64)
-    group_sizes = np.diff(factset.offsets)
+    group_sizes = factset.group_sizes
 
     def compute(selected: np.ndarray) -> float:
         """Fill in the gains of the groups flagged in ``selected``;
@@ -114,7 +113,7 @@ def pruned_gains(
         stats.facts_evaluated += int(group_sizes[selected].sum())
         return float(gains[facts].max())
 
-    sources = np.zeros(len(groups), dtype=bool)
+    sources = np.zeros(len(group_sizes), dtype=bool)
     sources[list(plan.sources)] = True
     best_so_far = compute(sources)
 
@@ -122,7 +121,7 @@ def pruned_gains(
     for t in plan.targets:
         if not alive[t]:
             continue  # already pruned as a specialization
-        bound = float(U.group_deviation_bounds(dev, groups[t]).max())
+        bound = float(U.group_deviation_bounds(dev, factset, t).max())
         stats.rows_processed += n
         stats.bounds_computed += 1
         if best_so_far > bound:

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .facts import FactGroup, FactSet
+from .facts import FactSet
 from .model import Problem
 
 
-def group_deviation_bounds(dev: np.ndarray, group: FactGroup) -> np.ndarray:
-    """Upper bound on the gain of any fact in ``group`` (Algorithm 3,
+def group_deviation_bounds(dev: np.ndarray, factset: FactSet, g: int) -> np.ndarray:
+    """Upper bound on the gain of any fact in group ``g`` (Algorithm 3,
     Line 15): summed current deviation per value combination — a fact
     can at most zero out error inside its scope. Every fact of the group
-    covers a row and the group's facts have contiguous global ids, so
-    the count ends with them."""
-    return np.bincount(group.row_to_fact, weights=dev)[-group.n_facts :]
+    covers a row, so the count ends with the group's last fact."""
+    return np.bincount(factset.row_to_fact[g], weights=dev)[factset.offsets[g] :]
 
 
 def apply_fact(
@@ -34,8 +33,7 @@ def apply_fact(
 ) -> np.ndarray:
     """Return deviations after the user also hears fact ``fact_id``
     (the paper's Line 11, ``Π_E(R ⋈_M f*)``). Pure: input untouched."""
-    g, _ = factset.group_of(fact_id)
-    in_scope = factset.row_to_fact[g] == fact_id
+    in_scope = factset.row_to_fact[factset.group_of(fact_id)] == fact_id
     return np.where(in_scope, np.minimum(dev, np.abs(factset.values[fact_id] - target)), dev)
 
 

@@ -21,7 +21,7 @@ class Config:
     speech_length: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_query_len < 0 or self.speech_length < 0:
+        if min(self.max_query_len, self.max_extra_dims, self.speech_length) < 0:
             raise ValueError("lengths must be non-negative")
         if not self.dims or not self.targets:
             raise ValueError("need at least one dimension and one target")

@@ -3,10 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baseline.sampling import sampling_summary
+from repro.baseline.sampling import _estimated_gains, sampling_summary
 from repro.core.facts import enumerate_facts
 from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
+from repro.core.utility import apply_fact
 
 
 def problem(seed=0, n=400):
@@ -20,6 +21,79 @@ def problem(seed=0, n=400):
         }
     )
     return Problem.from_pandas(df, ["a", "b"], "t")
+
+
+def reference_estimated_gains(factset, sample_idx, dev_sample, n_total):
+    """One ``bincount`` per statistic per group over the group's local
+    fact ids: the loop the stacked estimator replaced."""
+    s = len(sample_idx)
+    target_s = factset.problem.target[sample_idx]
+    k = factset.n_facts
+    est, half, v_mean, v_count = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
+    for g, size in enumerate(factset.group_sizes):
+        lo, hi = int(factset.offsets[g]), int(factset.offsets[g + 1])
+        r2f = factset.row_to_fact[g][sample_idx] - lo
+        cnt = np.bincount(r2f, minlength=size).astype(float)
+        sums = np.bincount(r2f, weights=target_s, minlength=size)
+        means = np.divide(sums, cnt, out=np.zeros_like(sums), where=cnt > 0)
+        contrib = np.maximum(dev_sample - np.abs(means[r2f] - target_s), 0.0)
+        c_sum = np.bincount(r2f, weights=contrib, minlength=size)
+        c_sq = np.bincount(r2f, weights=contrib**2, minlength=size)
+        mean_c = c_sum / s
+        var_c = np.maximum(c_sq / s - mean_c**2, 0.0)
+        est[lo:hi] = n_total * mean_c
+        half[lo:hi] = n_total * np.sqrt(var_c / s)
+        v_mean[lo:hi] = means
+        v_count[lo:hi] = cnt
+    return est, half, v_mean, v_count
+
+
+def assert_estimates_match_reference(p, fs, seed, sample_size, applied=2):
+    rng = np.random.default_rng(seed)
+    dev = p.prior_deviation()
+    for fid in rng.integers(0, fs.n_facts, applied):
+        dev = apply_fact(dev, p.target, fs, int(fid))
+    idx = rng.permutation(p.n_rows)[:sample_size]
+    got = _estimated_gains(fs, idx, dev[idx], p.n_rows)
+    want = reference_estimated_gains(fs, idx, dev[idx], p.n_rows)
+    for name, g, w in zip(("est", "half", "means", "counts"), got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+class TestEstimatedGains:
+    """The stacked estimator is bit-identical to the per-group loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_group_loop(self, seed):
+        p = problem(seed, n=300)
+        fs = enumerate_facts(p)
+        # a small sample leaves some facts unsampled (count 0)
+        for sample_size in (5, 40, 300):
+            assert_estimates_match_reference(p, fs, seed, sample_size)
+
+    def test_constant_columns(self):
+        rng = np.random.default_rng(3)
+        df = pd.DataFrame(
+            {
+                "a": ["x"] * 60,
+                "b": rng.choice(["u", "v", "w"], 60),
+                "c": ["k"] * 60,
+                "t": rng.normal(10.0, 3.0, 60),
+            }
+        )
+        p = Problem.from_pandas(df, ["a", "b", "c"], "t")
+        fs = enumerate_facts(p, max_extra_dims=3)
+        for seed, sample_size in [(0, 4), (1, 30), (2, 60)]:
+            assert_estimates_match_reference(p, fs, seed, sample_size)
+
+    def test_one_fact_problem(self):
+        df = pd.DataFrame({"a": ["x", "y", "x"], "t": [7.0, 1.0, 4.0]})
+        p = Problem.from_pandas(df, ["a"], "t")
+        fs = enumerate_facts(p, max_extra_dims=0)
+        assert fs.n_facts == 1
+        for sample_size in (1, 3):
+            assert_estimates_match_reference(p, fs, 0, sample_size, applied=0)
 
 
 class TestSamplingBaseline:

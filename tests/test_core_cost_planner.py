@@ -73,8 +73,8 @@ class RefCostModel:
     def __init__(self, factset):
         sigma, bound_scale, bound_cost_ratio = 0.5, 3.0, 0.35
         n = factset.problem.n_rows
-        self.M = np.array([g.n_facts for g in factset.groups], dtype=np.float64)
-        dimsets = [frozenset(g.dims) for g in factset.groups]
+        self.M = np.diff(factset.offsets).astype(np.float64)
+        dimsets = [frozenset(dims) for dims in factset.group_dims]
         k = len(self.M)
         inv = 1.0 / self.M
         z = (inv[:, None] - bound_scale * inv[None, :]) / (sigma * math.sqrt(2.0))
@@ -160,7 +160,7 @@ class TestCostModel:
         Σ_g C_U(g) = Σ_g (n + M(g)), against the threshold."""
         p = prunable_problem()
         fs = enumerate_facts(p)
-        trivial_cost = sum(p.n_rows + g.n_facts for g in fs.groups)
+        trivial_cost = sum(p.n_rows + m for m in np.diff(fs.offsets))
         planned = forced_opt_prune(fs)
         assert planned.targets
         monkeypatch.setattr(planner, "PLANNING_THRESHOLD", trivial_cost)
@@ -186,9 +186,9 @@ class TestPlanner:
             assert plan.targets
             # Algorithm 4's source condition: no outside group has fewer
             # facts than a group inside S
-            max_src = max(fs.groups[s].n_facts for s in plan.sources)
-            outside = set(range(len(fs.groups))) - set(plan.sources)
-            assert all(fs.groups[g].n_facts >= max_src for g in outside)
+            max_src = max(fs.group_sizes[s] for s in plan.sources)
+            outside = set(range(len(fs.group_dims))) - set(plan.sources)
+            assert all(fs.group_sizes[g] >= max_src for g in outside)
 
     def test_targets_disjoint_from_sources(self):
         for seed in range(5):
@@ -209,7 +209,7 @@ class TestPlanner:
         fs = enumerate_facts(p)
         plan = opt_prune(fs)  # default threshold ≫ this problem's work
         assert plan.targets == ()
-        assert sorted(plan.sources) == list(range(len(fs.groups)))
+        assert sorted(plan.sources) == list(range(len(fs.group_dims)))
 
     @given(st.integers(0, 50))
     @settings(max_examples=15, deadline=None)

@@ -101,7 +101,7 @@ def duplicate_rich_problems(draw):
 def distinct_row_sets(fs):
     return len(
         {
-            tuple(np.flatnonzero(fs.row_to_fact[fs.group_of(fid)[0]] == fid))
+            tuple(np.flatnonzero(fs.row_to_fact[fs.group_of(fid)] == fid))
             for fid in range(fs.n_facts)
         }
     )

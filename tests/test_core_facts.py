@@ -29,11 +29,11 @@ class TestEnumeration:
     def test_group_count_two_dims(self, grid_problem):
         fs = enumerate_facts(grid_problem, max_extra_dims=2)
         # {}, {region}, {season}, {region,season}
-        assert [g.dims for g in fs.groups] == [(), (0,), (1,), (0, 1)]
+        assert fs.group_dims == [(), (0,), (1,), (0, 1)]
 
     def test_group_count_limited_to_one_dim(self, grid_problem):
         fs = enumerate_facts(grid_problem, max_extra_dims=1)
-        assert [g.dims for g in fs.groups] == [(), (0,), (1,)]
+        assert fs.group_dims == [(), (0,), (1,)]
 
     def test_total_fact_count(self, grid_problem):
         fs = enumerate_facts(grid_problem, max_extra_dims=2)
@@ -42,47 +42,46 @@ class TestEnumeration:
 
     def test_overall_fact_value_is_mean(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        assert fs.groups[0].fact_values[0] == pytest.approx(15.0)
+        assert fs.values[0] == pytest.approx(15.0)
 
     def test_single_dim_fact_values(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        season_group = fs.groups[2]
+        season = slice(fs.offsets[2], fs.offsets[3])
         vals = dict(
             zip(
-                (grid_problem.dim_labels[1][c[0]] for c in season_group.fact_codes),
-                season_group.fact_values,
+                (grid_problem.dim_labels[1][c] for c in fs.codes[season, 1]),
+                fs.values[season],
             )
         )
         assert vals["Summer"] == pytest.approx(15.0)
         assert vals["Winter"] == pytest.approx(15.0)
 
-    def test_fact_counts_sum_to_rows(self, grid_problem):
+    def test_group_counts_sum_to_rows(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        for g in fs.groups:
-            assert g.fact_counts.sum() == grid_problem.n_rows
+        for rows, lo, size in zip(fs.row_to_fact, fs.offsets, fs.group_sizes):
+            counts = np.bincount(rows - lo, minlength=size)
+            assert counts.shape == (size,) and counts.min() > 0
+            assert counts.sum() == grid_problem.n_rows
 
     def test_rows_of_fact_partition(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        for g, lo in zip(fs.groups, fs.offsets):
-            seen = np.concatenate(
-                [np.flatnonzero(g.row_to_fact == lo + i) for i in range(g.n_facts)]
-            )
+        for rows, lo, size in zip(fs.row_to_fact, fs.offsets, fs.group_sizes):
+            seen = np.concatenate([np.flatnonzero(rows == lo + i) for i in range(size)])
             assert sorted(seen) == list(range(grid_problem.n_rows))
 
     def test_row_to_fact_consistent_with_rows_of_fact(self, grid_problem):
         fs = enumerate_facts(grid_problem)
-        g = fs.groups[3]
-        codes = grid_problem.dim_matrix[:, list(g.dims)]
-        for i in range(g.n_facts):
-            in_scope = (codes == g.fact_codes[i]).all(axis=1)
-            assert np.array_equal(g.row_to_fact == fs.offsets[3] + i, in_scope)
+        dims = list(fs.group_dims[3])
+        codes = grid_problem.dim_matrix[:, dims]
+        for fid in range(fs.offsets[3], fs.offsets[4]):
+            in_scope = (codes == fs.codes[fid, dims]).all(axis=1)
+            assert np.array_equal(fs.row_to_fact[3] == fid, in_scope)
 
     def test_global_id_roundtrip(self, grid_problem):
         fs = enumerate_facts(grid_problem)
         for fid in range(fs.n_facts):
-            g, local = fs.group_of(fid)
-            assert fs.offsets[g] + local == fid
-            assert 0 <= local < fs.groups[g].n_facts
+            g = fs.group_of(fid)
+            assert fs.offsets[g] <= fid < fs.offsets[g + 1]
 
     def test_fact_materialization_labels(self, grid_problem):
         fs = enumerate_facts(grid_problem)
@@ -95,8 +94,7 @@ class TestEnumeration:
     def test_fact_value_matches_subset_mean(self, grid_problem):
         fs = enumerate_facts(grid_problem)
         for fid in range(fs.n_facts):
-            g, _ = fs.group_of(fid)
-            rows = fs.groups[g].row_to_fact == fid
+            rows = fs.row_to_fact[fs.group_of(fid)] == fid
             assert fs.fact(fid).value == pytest.approx(
                 grid_problem.target[rows].mean()
             )
@@ -108,12 +106,11 @@ class TestEnumeration:
         )
         p = Problem.from_pandas(df, ["a", "b"], "t")
         fs = enumerate_facts(p)
-        pair_group = [g for g in fs.groups if g.dims == (0, 1)][0]
-        assert pair_group.n_facts == 3
+        assert fs.group_sizes[fs.group_dims.index((0, 1))] == 3
 
     def test_zero_extra_dims(self, grid_problem):
         fs = enumerate_facts(grid_problem, max_extra_dims=0)
-        assert fs.n_facts == 1 and fs.groups[0].dims == ()
+        assert fs.n_facts == 1 and fs.group_dims == [()]
 
     def test_three_dims_group_count(self):
         rng = np.random.default_rng(0)
@@ -128,7 +125,7 @@ class TestEnumeration:
         p = Problem.from_pandas(df, ["a", "b", "c"], "t")
         fs = enumerate_facts(p, max_extra_dims=2)
         # C(3,0)+C(3,1)+C(3,2) = 1+3+3 groups
-        assert len(fs.groups) == 7
+        assert len(fs.group_dims) == 7
 
 
 # ---- differential test against a sort-based reference ------------------
@@ -136,7 +133,8 @@ class TestEnumeration:
 
 def reference_groups(problem, max_extra_dims):
     """Facts per group as ``np.unique(axis=0)`` row sorts find them:
-    (dims, row_to_fact, fact_codes, fact_values, fact_counts)."""
+    (dims, local row_to_fact, codes of the restricted dims, values,
+    rows per fact)."""
     n, d = problem.dim_matrix.shape
     out = []
     for size in range(max_extra_dims + 1):
@@ -169,20 +167,26 @@ def coded_problem(codes, target):
 def assert_matches_reference(problem, max_extra_dims):
     fs = enumerate_facts(problem, max_extra_dims=max_extra_dims)
     ref = reference_groups(problem, max_extra_dims)
-    assert [g.dims for g in fs.groups] == [r[0] for r in ref]
-    for g, lo, (_, row_to_fact, codes, values, counts) in zip(fs.groups, fs.offsets, ref):
-        for got, want in [
-            (g.row_to_fact, row_to_fact + np.int32(lo)),
-            (g.fact_codes, codes),
-            (g.fact_values, values),
-            (g.fact_counts, counts),
-        ]:
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), g.dims
-        # the group's arrays are views of the fact set's stacked ones
-        assert np.shares_memory(g.row_to_fact, fs.row_to_fact)
-        assert np.shares_memory(g.fact_values, fs.values)
-    assert fs.n_facts == sum(r[2].shape[0] for r in ref)
+    dims, row_to_fact, codes, values, counts = zip(*ref)
+    assert fs.group_dims == list(dims)
+    sizes = np.array([c.shape[0] for c in codes], dtype=np.int64)
+    lo = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int32)
+    # the reference's codes padded to every dimension, -1 = unrestricted
+    padded = []
+    for group_dims, group_codes in zip(dims, codes):
+        full = np.full((group_codes.shape[0], problem.dim_matrix.shape[1]), -1, np.int32)
+        full[:, list(group_dims)] = group_codes
+        padded.append(full)
+    for name, got, want in [
+        ("row_to_fact", fs.row_to_fact, np.stack(row_to_fact) + lo[:, None]),
+        ("values", fs.values, np.concatenate(values)),
+        ("group_sizes", fs.group_sizes, sizes),
+        ("codes", fs.codes, np.concatenate(padded)),
+        ("counts", np.bincount(fs.row_to_fact.ravel()), np.concatenate(counts)),
+    ]:
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert fs.n_facts == sizes.sum()
 
 
 @st.composite
@@ -227,7 +231,7 @@ class TestAgainstSortReference:
         codes = np.array([[0, 7], [7, 0], [7, 7], [0, 7], [7, 0]])
         problem = coded_problem(codes, np.arange(5.0))
         fs = enumerate_facts(problem, max_extra_dims=2)
-        assert fs.groups[1].fact_codes.tolist() == [[0], [7]]
+        assert fs.codes[fs.offsets[1] : fs.offsets[2]].tolist() == [[0, -1], [7, -1]]
         assert_matches_reference(problem, 2)
 
     def test_three_dims_with_200_values(self):
@@ -259,8 +263,7 @@ class TestScopesAndContainment:
             in_scope = np.ones(problem.n_rows, dtype=bool)
             for name, value in fact.scope:
                 in_scope &= labels[name] == value
-            g, _ = fs.group_of(fid)
-            assert np.array_equal(fs.groups[g].row_to_fact == fid, in_scope)
+            assert np.array_equal(fs.row_to_fact[fs.group_of(fid)] == fid, in_scope)
             assert fact.value == pytest.approx(problem.target[in_scope].mean())
             rows = np.flatnonzero(in_scope)
             want = dev.copy()
@@ -272,7 +275,7 @@ class TestScopesAndContainment:
     def test_contains_is_dimension_set_containment(self, case):
         problem, extra = case
         fs = enumerate_facts(problem, max_extra_dims=extra)
-        dimsets = [frozenset(g.dims) for g in fs.groups]
+        dimsets = [frozenset(dims) for dims in fs.group_dims]
         want = [[t <= g for g in dimsets] for t in dimsets]
         assert fs.contains.dtype == bool
         assert fs.contains.tolist() == want

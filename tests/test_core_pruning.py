@@ -24,10 +24,10 @@ def reference_gains(dev, target, fs):
     """Every fact's gain from one ``bincount`` per group over the
     group's local fact ids: the kernel the batched one replaced."""
     out = []
-    for grp, lo in zip(fs.groups, fs.offsets):
-        local = grp.row_to_fact - lo
-        contrib = np.maximum(dev - np.abs(grp.fact_values[local] - target), 0.0)
-        out.append(np.bincount(local, weights=contrib, minlength=grp.n_facts))
+    for rows, lo, size in zip(fs.row_to_fact, fs.offsets, fs.group_sizes):
+        local = rows - lo
+        contrib = np.maximum(dev - np.abs(fs.values[lo : lo + size][local] - target), 0.0)
+        out.append(np.bincount(local, weights=contrib, minlength=size))
     return np.concatenate(out)
 
 
@@ -43,19 +43,19 @@ class TestNaivePlan:
         fs = enumerate_facts(p)
         plan = naive_plan(fs)
         src = plan.sources[0]
-        assert fs.groups[src].n_facts == min(g.n_facts for g in fs.groups)
+        assert fs.group_sizes[src] == fs.group_sizes.min()
 
     def test_all_groups_covered(self):
         p = rand_problem(1)
         fs = enumerate_facts(p)
         plan = naive_plan(fs)
-        assert sorted(plan.sources + plan.targets) == list(range(len(fs.groups)))
+        assert sorted(plan.sources + plan.targets) == list(range(len(fs.group_dims)))
 
     def test_targets_ordered_by_size(self):
         p = rand_problem(2)
         fs = enumerate_facts(p)
         plan = naive_plan(fs)
-        sizes = [fs.groups[t].n_facts for t in plan.targets]
+        sizes = [fs.group_sizes[t] for t in plan.targets]
         assert sizes == sorted(sizes)
 
 
@@ -172,7 +172,7 @@ class TestBatchedKernel:
         if plan_name == "full":
             assert computed.all()
         groups_computed = 0
-        for g in range(len(fs.groups)):
+        for g in range(len(fs.group_dims)):
             block = computed[fs.offsets[g] : fs.offsets[g + 1]]
             assert block.all() or not block.any()  # whole groups only
             groups_computed += int(block.all())
@@ -195,7 +195,7 @@ class TestGreedyWithPruning:
     def test_empty_targets_plan_is_gb(self):
         p = rand_problem(4)
         fs = enumerate_facts(p)
-        trivial = PruningPlan(sources=tuple(range(len(fs.groups))), targets=())
+        trivial = PruningPlan(sources=tuple(range(len(fs.group_dims))), targets=())
         gb = greedy_summary(p, fs, 3)
         gt = greedy_summary(p, fs, 3, plan=trivial)
         assert gt.extra["fact_ids"] == gb.extra["fact_ids"]

@@ -124,9 +124,9 @@ class TestKernels:
         p, fs = grid(), enumerate_facts(grid())
         dev = p.prior_deviation()
         gains, _ = pruned_gains(dev, p.target, fs, full_plan(fs))
-        for g, grp in enumerate(fs.groups):
-            bounds = U.group_deviation_bounds(dev, grp)
-            assert bounds.shape == (grp.n_facts,)
+        for g, size in enumerate(fs.group_sizes):
+            bounds = U.group_deviation_bounds(dev, fs, g)
+            assert bounds.shape == (size,)
             assert np.all(gains[fs.offsets[g] : fs.offsets[g + 1]] <= bounds + 1e-9)
 
     def test_apply_fact_is_pure(self):

@@ -23,9 +23,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(dims=("a", "a"), targets=("t",))
 
-    def test_rejects_negative_lengths(self):
-        with pytest.raises(ValueError):
-            Config(dims=("a",), targets=("t",), max_query_len=-1)
+    @pytest.mark.parametrize("length", ["max_query_len", "max_extra_dims", "speech_length"])
+    def test_rejects_negative_lengths(self, length):
+        with pytest.raises(ValueError, match="non-negative"):
+            Config(dims=("a", "b"), targets=("t",), **{length: -1})
 
 
 class TestKeyEncoding:
