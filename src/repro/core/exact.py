@@ -20,7 +20,10 @@ expansions is identical), which lets us tighten ``b`` as exact
 utilities of complete speeches are discovered.
 
 The single-fact utilities (Line 6) are the gains of the greedy seed's
-first iteration, so they are computed once.
+first iteration, so they are computed once. For a batch of problems
+(:func:`exact_batch`) the seeds come from one greedy batch; the
+representatives and the DFS run per problem, on its own facts cut from
+the batch's lattice (:meth:`~repro.core.facts.FactSet.select`).
 
 *Representatives.* Utility depends on a fact only through its scope
 rows and their mean (Definitions 4-6), so facts with equal row sets are
@@ -47,7 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from .facts import FactSet
-from .greedy import greedy_summary
+from .greedy import greedy_batch
 from .model import Problem, SpeechResult
 from . import utility as U
 
@@ -76,6 +79,8 @@ def exact_summary(
     max_seconds: float | None = None,
 ) -> SpeechResult:
     """Guaranteed-optimal speech of up to ``m`` facts (Corollary 1).
+    ``factset`` is ``problem``'s, from
+    :func:`~repro.core.facts.enumerate_facts`.
 
     ``max_seconds`` mirrors the paper's per-scenario timeout (48 h on
     their testbed): when exceeded, the best speech found so far is
@@ -84,9 +89,26 @@ def exact_summary(
 
     ``extra["representatives"]`` counts the distinct scope row sets the
     DFS ranks; ``extra["nodes_expanded"]`` the speeches it evaluated."""
+    return exact_batch(factset, m, max_seconds)[0]
+
+
+def exact_batch(
+    factset: FactSet, m: int, max_seconds: float | None = None
+) -> list[SpeechResult]:
+    """:func:`exact_summary` for every problem of ``factset``'s batch, in
+    problem order; ``max_seconds`` caps each problem's search."""
+    seeds = greedy_batch(factset, m)
+    return [_search(factset.select(p), m, seed, max_seconds) for p, seed in enumerate(seeds)]
+
+
+def _search(
+    factset: FactSet, m: int, seed: SpeechResult, max_seconds: float | None
+) -> SpeechResult:
+    """Algorithm 1's search for the one problem of ``factset``, from its
+    greedy ``seed``."""
+    problem = factset.batch.problem(0)
     n = problem.n_rows
     target = problem.target
-    seed = greedy_summary(problem, factset, m)
     rows_processed = seed.rows_processed
     facts_evaluated = seed.facts_evaluated
     b = seed.utility

@@ -13,37 +13,52 @@ data for those columns.
 indexed by global fact id: ``values`` holds each fact's typical value
 and ``codes`` its value code per dimension, -1 where the fact does not
 restrict that dimension — the kernel form of ``F``'s nullable columns.
-A group's facts have contiguous ids. Within a group every row is within
-scope of exactly one fact, so ``row_to_fact`` stacks every group's
-row→fact map as one ``(groups, n)`` array of global ids, and the
-utility aggregation over any set of groups is a single ``bincount`` —
-the NumPy specialisation of the paper's ``Γ_{ΣU,F}(R ⋈_M F)``
-join-then-aggregate. It is the one scope representation: fact ``f``
+A problem's facts of one group have contiguous ids. Within a group
+every row is within scope of exactly one fact, so ``row_to_fact``
+stacks every group's row→fact map as one ``(groups, n)`` array of
+global ids, and the utility aggregation over any set of groups is a
+single ``bincount`` — the NumPy specialisation of the paper's
+``Γ_{ΣU,F}(R ⋈_M F)`` join-then-aggregate. It is the one scope representation: fact ``f``
 covers exactly the rows where its group's row equals ``f``.
+
+A :class:`~repro.core.model.Batch` of problems over the same dimensions
+is enumerated as one lattice whose root is the problem: the ``()``
+group has one fact per problem. These are the cells of ``S ∪ G`` for
+the dimensions ``S`` the batch's queries fix (Section III's cube).
+Global ids run by problem, then group, then codes, so each problem's
+facts are one contiguous run, in the order the problem enumerated alone
+gives them; their values are bit-identical to it, since each fact's
+rows are the same rows in the same order. A single problem is the
+batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .model import Fact, Problem
+from .model import Batch, Fact, Problem
 
 
 @dataclass
 class FactSet:
-    """All candidate facts of a problem, grouped by restricted dims.
+    """All candidate facts of a batch of problems, grouped by restricted
+    dims.
 
+    Problem ``p``'s facts of group ``g`` have the ids
+    ``offsets[p·G + g] : offsets[p·G + g + 1]`` for ``G`` groups; for a
+    single problem ``offsets`` is just the groups' bounds.
     ``contains[t, g]`` is the lattice order: group ``g`` specializes
     group ``t`` (restricts a superset of its dimensions, ``t`` itself
     included), so every fact of ``g`` lies within the scope of one fact
-    of ``t``. Algorithm 3 prunes and the §VI-C cost model reasons by it.
+    of ``t``. Algorithm 3 prunes and the §VI-C cost model reason by it.
     """
 
-    problem: Problem
+    batch: Batch
     group_dims: list[tuple[int, ...]]  # restricted dims per group (sorted); () = overall
-    offsets: np.ndarray  # (groups+1,) — group g's facts are offsets[g]:offsets[g+1]
+    offsets: np.ndarray  # (problems·groups + 1,) — see the class docstring
     contains: np.ndarray  # (groups, groups) bool
     row_to_fact: np.ndarray  # (groups, n) int32 — global fact id per row
     values: np.ndarray  # (n_facts,) float64 — typical value per global id
@@ -54,17 +69,55 @@ class FactSet:
         return int(self.offsets[-1])
 
     @property
-    def group_sizes(self) -> np.ndarray:
-        """Facts per group: the paper's member count M(g)."""
-        return np.diff(self.offsets)
+    def n_groups(self) -> int:
+        return len(self.group_dims)
 
-    def group_of(self, fact_id: int) -> int:
-        """The group holding global fact id ``fact_id``."""
-        return int(np.searchsorted(self.offsets, fact_id, side="right")) - 1
+    @cached_property
+    def group_sizes(self) -> np.ndarray:
+        """Facts per group, over the batch: the paper's member count M(g)
+        for a single problem."""
+        return np.diff(self.offsets).reshape(-1, self.n_groups).sum(axis=0)
+
+    @cached_property
+    def problem_offsets(self) -> np.ndarray:
+        """``(problems+1,)``: problem ``p``'s facts are
+        ``problem_offsets[p]:problem_offsets[p+1]``."""
+        return self.offsets[:: self.n_groups]
+
+    @cached_property
+    def fact_groups(self) -> np.ndarray:
+        """``(n_facts,)``: the group of each global fact id."""
+        runs = np.tile(np.arange(self.n_groups), self.batch.n_problems)
+        return np.repeat(runs, np.diff(self.offsets))
+
+    def group_of(self, fact_id):
+        """The group holding global fact id(s) ``fact_id``."""
+        return self.fact_groups[fact_id]
+
+    def select(self, p: int) -> "FactSet":
+        """Problem ``p``'s facts alone, exactly as enumerating the problem
+        by itself gives them: its run of ids less the run's start, and
+        ``row_to_fact`` over its own rows. A batch of one is returned as
+        it is."""
+        if self.batch.n_problems == 1:
+            return self
+        g = self.n_groups
+        offsets = self.offsets[p * g : (p + 1) * g + 1]
+        lo, hi = int(offsets[0]), int(offsets[-1])
+        a, b = self.batch.bounds[p], self.batch.bounds[p + 1]
+        return FactSet(
+            batch=Batch.of(self.batch.problem(p)),
+            group_dims=self.group_dims,
+            offsets=offsets - lo,
+            contains=self.contains,
+            row_to_fact=self.row_to_fact[:, a:b] - np.int32(lo),
+            values=self.values[lo:hi],
+            codes=self.codes[lo:hi],
+        )
 
     def fact(self, fact_id: int) -> Fact:
         """Materialize a global fact id as a labelled :class:`Fact`."""
-        p = self.problem
+        p = self.batch
         scope = tuple(
             sorted(
                 (p.dim_names[d], str(p.dim_labels[d][code]))
@@ -75,36 +128,44 @@ class FactSet:
         return Fact(scope=scope, value=float(self.values[fact_id]))
 
 
-def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
+def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSet:
     """Enumerate all candidate facts with up to ``max_extra_dims``
     additional equality predicates (all value combinations appearing in
-    the data, as in Section III). The empty group — the overall average
-    of the problem's subset — is always included.
+    the data, as in Section III) for a problem or a batch of problems.
+    The empty group — the overall average of each problem's subset — is
+    always included.
 
-    Groups form the cube lattice: group ``(d1, …, dk)`` is built from
-    its parent ``(d1, …, dk-1)`` by the mixed-radix key
-    ``parent_fact · card[dk] + code[dk]`` and one ``bincount`` — no row
-    sort. The key is ordered like the tuple ``(d1, …, dk)``, so facts
-    come out in the lexicographic order of their value codes. Global
-    ids follow the groups in ``combinations`` order, then that order.
-    Each group's row is written with local ids into the stacked array,
-    which is shifted to global ids once the lattice is complete.
+    Groups form the cube lattice, rooted at the problem: the ``()``
+    group maps each row to its problem's fact, and group
+    ``(d1, …, dk)`` is built from its parent ``(d1, …, dk-1)`` by the
+    mixed-radix key ``parent_fact · card[dk] + code[dk]`` and one
+    ``bincount`` — no row sort. The key is ordered like the tuple
+    ``(problem, d1, …, dk)``, so a group's facts come out by problem,
+    then in the lexicographic order of their value codes. Each group's
+    row is written with local ids into the stacked array; once the
+    lattice is complete, one shift per (group, problem) moves them to
+    the global ids, which run by problem, then group (in
+    ``combinations`` order), then that order.
     """
-    dm = problem.dim_matrix
+    batch = problem if isinstance(problem, Batch) else Batch.of(problem)
+    dm = batch.dim_matrix
     n, d = dm.shape
+    n_problems = batch.n_problems
     card = dm.max(axis=0, initial=-1).astype(np.intp) + 1
     lattice = [
         dims for size in range(max_extra_dims + 1) for dims in combinations(range(d), size)
     ]
     stacked = np.empty((len(lattice), n), dtype=np.int32)
-    values, codes = [], []
-    built: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}  # local rows, codes
+    values, codes, owners = [], [], []
+    # local rows, codes and problem per fact of each group
+    built: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for row_to_fact, dims in zip(stacked, lattice):
         if not dims:
-            row_to_fact[:] = 0
-            group_codes = np.full((1, d), -1, dtype=np.int32)
+            row_to_fact[:] = np.repeat(np.arange(n_problems, dtype=np.int32), batch.sizes)
+            group_codes = np.full((n_problems, d), -1, dtype=np.int32)
+            owner = np.arange(n_problems)
         else:
-            (parent_rows, parent_codes), c = built[dims[:-1]], card[dims[-1]]
+            (parent_rows, parent_codes, parent_owner), c = built[dims[:-1]], card[dims[-1]]
             key = parent_rows.astype(np.intp) * c + dm[:, dims[-1]]
             n_cells = parent_codes.shape[0] * c
             cells = np.flatnonzero(np.bincount(key, minlength=n_cells))
@@ -112,24 +173,42 @@ def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
             remap = np.empty(n_cells, dtype=np.int32)
             remap[cells] = np.arange(cells.shape[0], dtype=np.int32)
             np.take(remap, key, out=row_to_fact)
-            group_codes = parent_codes[cells // c]
+            parent = cells // c
+            group_codes = parent_codes[parent]
             group_codes[:, dims[-1]] = cells % c
+            owner = parent_owner[parent]
         k = group_codes.shape[0]
-        sums = np.bincount(row_to_fact, weights=problem.target, minlength=k)
+        sums = np.bincount(row_to_fact, weights=batch.target, minlength=k)
         values.append(sums / np.bincount(row_to_fact, minlength=k))
         codes.append(group_codes)
-        built[dims] = row_to_fact, group_codes
-    offsets = np.zeros(len(lattice) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([v.shape[0] for v in values])
-    stacked += offsets[:-1, None].astype(np.int32)
+        owners.append(owner)
+        built[dims] = row_to_fact, group_codes, owner
+    if n_problems == 1:  # ids follow the groups: a shift per group
+        offsets = np.zeros(len(lattice) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([v.shape[0] for v in values])
+        stacked += offsets[:-1, None].astype(np.int32)
+        all_values, all_codes = np.concatenate(values), np.concatenate(codes)
+    else:
+        counts = np.array([np.bincount(o, minlength=n_problems) for o in owners]).T
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum(counts)  # by problem, then group
+        # global id = local id + shift[problem, group]: the start of the
+        # problem's run of the group less the start of its facts in the group
+        shift = offsets[:-1].reshape(counts.shape) - (np.cumsum(counts, axis=0) - counts)
+        stacked += np.repeat(shift.T.astype(np.int32), batch.sizes, axis=1)
+        ids = np.concatenate([np.arange(o.shape[0]) + shift[o, g] for g, o in enumerate(owners)])
+        all_values = np.empty(ids.shape[0])
+        all_values[ids] = np.concatenate(values)
+        all_codes = np.empty((ids.shape[0], d), dtype=np.int32)
+        all_codes[ids] = np.concatenate(codes)
     masks = np.array([sum(1 << j for j in dims) for dims in lattice], dtype=np.int64)
     contains = (masks[:, None] & masks[None, :]) == masks[:, None]
     return FactSet(
-        problem=problem,
+        batch=batch,
         group_dims=lattice,
         offsets=offsets,
         contains=contains,
         row_to_fact=stacked,
-        values=np.concatenate(values),
-        codes=np.concatenate(codes),
+        values=all_values,
+        codes=all_codes,
     )

@@ -10,10 +10,16 @@ The *prior* is the constant user expectation before listening
 (Definition 4). The paper's experiments use the average value of the
 target column as the prior (Section VIII-A); :meth:`Problem.from_pandas`
 defaults to that.
+
+A :class:`Batch` stacks problems over the same dimensions, each a
+contiguous run of rows: the queries that fix one dimension subset
+partition the input, so the pipeline solves all of them together. A
+single problem is the batch of one (:meth:`Batch.of`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -106,6 +112,81 @@ class Problem:
             prior=float(np.mean(tgt)) if prior is None else float(prior),
             target_name=target,
         )
+
+
+@dataclass
+class Batch:
+    """Problems over the same dimensions with their rows stacked:
+    problem ``i`` holds rows ``bounds[i]:bounds[i+1]``, in input order,
+    and has prior ``priors[i]``. ``priors`` defaults to each problem's
+    mean target value, computed over its own rows (``np.mean`` of its
+    slice), so it is bit-identical to the prior of the problem alone."""
+
+    dim_names: list[str]
+    dim_matrix: np.ndarray  # (n, d) int32
+    dim_labels: list[np.ndarray]
+    target: np.ndarray  # (n,) float64
+    bounds: np.ndarray  # (problems+1,) int64 row offsets
+    priors: np.ndarray | None = None  # (problems,) float64
+    target_name: str = "target"
+
+    def __post_init__(self) -> None:
+        self.dim_matrix = np.ascontiguousarray(self.dim_matrix, dtype=np.int32)
+        self.target = np.ascontiguousarray(self.target, dtype=np.float64)
+        self.bounds = np.asarray(self.bounds, dtype=np.int64)
+        if self.bounds[0] != 0 or self.bounds[-1] != self.target.shape[0]:
+            raise ValueError("bounds must run from 0 to the number of rows")
+        if (self.sizes <= 0).any():
+            raise ValueError("every problem of a batch needs at least one row")
+        if self.priors is None:
+            self.priors = np.array([np.mean(self.target[a:b]) for a, b in self.slices()])
+
+    @classmethod
+    def of(cls, problem: Problem) -> "Batch":
+        """The batch of one: ``problem``'s arrays, not copied."""
+        return cls(
+            dim_names=problem.dim_names,
+            dim_matrix=problem.dim_matrix,
+            dim_labels=problem.dim_labels,
+            target=problem.target,
+            bounds=np.array([0, problem.n_rows]),
+            priors=np.array([problem.prior]),
+            target_name=problem.target_name,
+        )
+
+    @property
+    def n_rows(self) -> int:
+        return self.target.shape[0]
+
+    @property
+    def n_problems(self) -> int:
+        return self.bounds.shape[0] - 1
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Rows per problem."""
+        return np.diff(self.bounds)
+
+    def slices(self) -> list[tuple[int, int]]:
+        """``(start, stop)`` of each problem's rows."""
+        b = self.bounds.tolist()
+        return list(zip(b[:-1], b[1:]))
+
+    def problem(self, i: int) -> Problem:
+        """Problem ``i`` alone, on views of its rows."""
+        a, b = self.bounds[i], self.bounds[i + 1]
+        return Problem(
+            dim_names=self.dim_names,
+            dim_matrix=self.dim_matrix[a:b],
+            dim_labels=self.dim_labels,
+            target=self.target[a:b],
+            prior=float(self.priors[i]),
+            target_name=self.target_name,
+        )
+
+    def prior_deviation(self) -> np.ndarray:
+        """Per-row deviation from the row's own problem's prior."""
+        return np.abs(self.target - np.repeat(self.priors, self.sizes))
 
 
 @dataclass

@@ -75,11 +75,28 @@ def prune_probability(m_source, m_target, sigma: float, bound_scale: float = 1.0
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
 
+def trivial_cost(n_rows, n_groups: int, n_facts):
+    """Estimated cost of one iteration under the trivial plan,
+    Σ_g (n + M(g)) = n·groups + facts. Broadcasts over problems."""
+    return n_rows * n_groups + n_facts
+
+
+def needs_planning(factset: FactSet) -> np.ndarray:
+    """Per problem of the batch: whether OPTPRUNE searches for a plan,
+    i.e. the trivial plan's cost reaches :data:`PLANNING_THRESHOLD`.
+    Decided for every problem at once from its rows, groups and facts;
+    the others get the trivial plan without being cut from the batch."""
+    n_facts = np.diff(factset.problem_offsets)
+    cost = trivial_cost(factset.batch.sizes, factset.n_groups, n_facts)
+    return cost >= PLANNING_THRESHOLD
+
+
 def opt_prune(factset: FactSet) -> PruningPlan:
     """OPTPRUNE: the minimum-estimated-cost plan among the candidates
-    generated by Algorithm 4 (this is what makes variant G-O)."""
-    n, k = factset.problem.n_rows, len(factset.group_dims)
-    best_cost = n * k + factset.n_facts  # the trivial plan's cost, Σ_g (n + M(g))
+    generated by Algorithm 4 (this is what makes variant G-O), for the
+    one problem of ``factset``."""
+    n, k = factset.batch.n_rows, len(factset.group_dims)
+    best_cost = trivial_cost(n, k, factset.n_facts)
     if best_cost < PLANNING_THRESHOLD:
         return full_plan(factset)
     order = source_order(factset)

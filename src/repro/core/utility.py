@@ -22,9 +22,10 @@ from .model import Problem
 
 def group_deviation_bounds(dev: np.ndarray, factset: FactSet, g: int) -> np.ndarray:
     """Upper bound on the gain of any fact in group ``g`` (Algorithm 3,
-    Line 15): summed current deviation per value combination — a fact
-    can at most zero out error inside its scope. Every fact of the group
-    covers a row, so the count ends with the group's last fact."""
+    Line 15) of the one problem of ``factset``: summed current deviation
+    per value combination — a fact can at most zero out error inside its
+    scope. Every fact of the group covers a row, so the count ends with
+    the group's last fact."""
     return np.bincount(factset.row_to_fact[g], weights=dev)[factset.offsets[g] :]
 
 

@@ -18,9 +18,9 @@ from pyspark.sql import SparkSession
 from . import datasets as ds
 from .baseline.sampling import sampling_summary
 from .core.facts import enumerate_facts
-from .pipeline.config import Config, decode_key
+from .pipeline.config import Config, decode_key, encode_key
 from .pipeline.lookup import SpeechIndex
-from .pipeline.preprocess import preprocess_target, solve_queries
+from .pipeline.preprocess import preprocess_target, solve_subsets
 from .pipeline.problems import build_plan
 
 # ---------------------------------------------------------------- Fig. 3
@@ -230,16 +230,24 @@ def run_fig10(
             assert ans is not None
         lookup_ms = (time.perf_counter() - t0) / len(probe) * 1e3
 
+        # the baseline runs on each probed problem's facts, cut from its
+        # subset's batch
         plan = build_plan(pdf_full, config, (target,))
-        queries = {q.key: q for q in plan.queries}
+        probed = set(probe)
         lat, tot = [], []
-        for key in probe:
-            q = queries[key]
-            problem = plan.problem(q, target)
-            fs = enumerate_facts(problem, plan.extra_dims(q))
-            res = sampling_summary(problem, fs, m=config.speech_length, seed=seed)
-            lat.append(res.latency_seconds * 1e3)
-            tot.append(res.total_seconds * 1e3)
+        for subset in plan.subsets:
+            predicates, batches = plan.cut(subset)
+            hits = [i for i, p in enumerate(predicates) if encode_key(p) in probed]
+            if not hits:
+                continue
+            fs = enumerate_facts(batches[target], plan.extra_dims(subset))
+            for i in hits:
+                own = fs.select(i)
+                res = sampling_summary(
+                    own.batch.problem(0), own, m=config.speech_length, seed=seed
+                )
+                lat.append(res.latency_seconds * 1e3)
+                tot.append(res.total_seconds * 1e3)
 
         rows.append(
             RuntimeComparison(
@@ -291,6 +299,6 @@ def solve_problems_locally(
 ) -> pd.DataFrame:
     """Single-process equivalent of the batch job (used by benchmarks to
     time solver work without Spark scheduling noise): the same query
-    plan and per-query solve function as the Spark tasks."""
+    plan and per-subset batch solve as the Spark tasks."""
     plan = build_plan(pdf, config, (target,))
-    return solve_queries(plan, plan.queries, (target,), method, exact_timeout)
+    return solve_subsets(plan, plan.subsets, (target,), method, exact_timeout)

@@ -6,14 +6,21 @@ stage is one Spark job for all targets:
 
 1. the driver collects the dimension and target columns once and builds
    the :class:`~repro.pipeline.problems.QueryPlan`: each dimension
-   dictionary-encoded once, every query with the indices of its rows;
-2. the plan is broadcast, and ``k = defaultParallelism`` tasks of a
-   ``mapInPandas`` job each solve their share of the queries
+   dictionary-encoded once, and the list of dimension subsets a query
+   may fix;
+2. the plan — codes, labels, targets and the subset list — is
+   broadcast, and ``k = defaultParallelism`` tasks of a ``mapInPandas``
+   job each solve their share of the subsets
    (:meth:`~repro.pipeline.problems.QueryPlan.assign`: longest first,
-   each to the least-loaded task by estimated cost) for every target,
-   with the per-problem solver (greedy G-B/G-P/G-O or exact E from
-   :mod:`repro.core`), and render the speech text. No row is
-   replicated or shuffled, and each task makes one call into Python;
+   each to the least-loaded task by estimated rows × fact groups). A
+   task cuts all queries of a subset from the codes at once
+   (:meth:`~repro.pipeline.problems.QueryPlan.cut`) and, per target,
+   solves their problems as one batch: one fact lattice
+   (:func:`~repro.core.facts.enumerate_facts`) and one gain kernel per
+   greedy iteration for the batch, with the paper's solvers (greedy
+   G-B/G-P/G-O or exact E from :mod:`repro.core`), then renders each
+   speech. No row is replicated or shuffled, and each task makes one
+   call into Python;
 3. the driver collects the speech rows (one per (target, query); a few
    hundred to some 17,000 at paper scale) with Arrow, writes them in
    (target, query_key) order as one Parquet file, and reads the table
@@ -24,6 +31,12 @@ Facts for a query restrict up to ``config.max_extra_dims`` dimensions
 *beyond* the query predicates (Section III); dimensions fixed by the
 query are excluded from fact enumeration because every row of the
 subset shares their value (such facts duplicate coarser ones).
+
+A row's ``solve_seconds`` is its problem's share of its batch's wall
+time — cutting, enumeration, solving and rendering of one subset for
+all targets — split by rows × fact groups. Every problem of a subset
+has the same groups, so the split is by rows, and the rows of a batch
+sum to its wall time.
 """
 from __future__ import annotations
 
@@ -32,11 +45,12 @@ import os
 import pathlib
 import shutil
 import sys
-import time
 import zipimport
+from time import perf_counter
 from typing import Callable
 from urllib.parse import urlsplit
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -51,15 +65,15 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..core.exact import exact_summary
+from ..core.exact import exact_batch
 from ..core.facts import FactSet, enumerate_facts
-from ..core.greedy import greedy_summary
-from ..core.model import Problem, SpeechResult
-from ..core.planner import opt_prune
+from ..core.greedy import greedy_batch
+from ..core.model import SpeechResult
+from ..core.planner import needs_planning, opt_prune
 from ..core.pruning import naive_plan
 from ..core.speech import render_speech
-from .config import Config
-from .problems import Query, QueryPlan, build_plan
+from .config import Config, encode_key
+from .problems import QueryPlan, build_plan
 
 RESULT_SCHEMA = StructType(
     [
@@ -80,68 +94,85 @@ RESULT_SCHEMA = StructType(
 
 def make_solver(
     method: str, exact_timeout: float | None = None
-) -> Callable[[Problem, FactSet, int], SpeechResult]:
-    """Per-problem solver for one of the paper's four variants:
-    ``E`` (exact), ``G-B`` (greedy), ``G-P`` (greedy + naive pruning),
-    ``G-O`` (greedy + cost-optimized pruning), over the problem's
-    already-enumerated facts. ``exact_timeout`` caps E's per-problem
-    search time (the paper uses a 48 h per-scenario cap)."""
+) -> Callable[[FactSet, int], list[SpeechResult]]:
+    """Batch solver for one of the paper's four variants: ``E``
+    (exact), ``G-B`` (greedy), ``G-P`` (greedy + naive pruning), ``G-O``
+    (greedy + cost-optimized pruning), over a batch's already-enumerated
+    facts; returns one result per problem. G-O plans only the problems
+    whose work reaches the planning threshold. ``exact_timeout`` caps
+    E's per-problem search time (the paper uses a 48 h per-scenario
+    cap)."""
 
-    def solve(problem: Problem, fs: FactSet, m: int) -> SpeechResult:
+    def solve(fs: FactSet, m: int) -> list[SpeechResult]:
         if method == "E":
-            return exact_summary(problem, fs, m, max_seconds=exact_timeout)
+            return exact_batch(fs, m, max_seconds=exact_timeout)
         if method == "G-B":
-            return greedy_summary(problem, fs, m)
+            return greedy_batch(fs, m)
         if method == "G-P":
-            return greedy_summary(problem, fs, m, plan=naive_plan(fs))
+            return greedy_batch(fs, m, naive_plan)
         if method == "G-O":
-            return greedy_summary(problem, fs, m, plan=opt_prune(fs))
+            return greedy_batch(fs, m, opt_prune, np.flatnonzero(needs_planning(fs)))
         raise ValueError(f"unknown method {method!r}")
 
     return solve
 
 
-def solve_query(
+def solve_subset(
     plan: QueryPlan,
-    query: Query,
-    target: str,
-    solve: Callable[[Problem, FactSet, int], SpeechResult],
-) -> dict:
-    """Solve one (target, query) problem; returns its speech-table row."""
-    t0 = time.perf_counter()
-    problem = plan.problem(query, target)
-    fs = enumerate_facts(problem, max_extra_dims=plan.extra_dims(query))
-    res = solve(problem, fs, plan.config.speech_length)
-    elapsed = time.perf_counter() - t0
-    facts_json = json.dumps(
-        [{"scope": dict(f.scope), "value": f.value} for f in res.facts]
-    )
-    return {
-        "query_key": query.key,
-        "target": target,
-        "n_rows": problem.n_rows,
-        "n_facts": fs.n_facts,
-        "prior": problem.prior,
-        "utility": res.utility,
-        "normalized": res.normalized,
-        "rows_processed": res.rows_processed,
-        "solve_seconds": elapsed,
-        "facts_json": facts_json,
-        "speech": render_speech(res.facts, target, query.predicates),
-    }
+    subset: tuple[int, ...],
+    targets: tuple[str, ...],
+    solve: Callable[[FactSet, int], list[SpeechResult]],
+) -> pd.DataFrame:
+    """Speech-table rows of every query that fixes the dimensions
+    ``subset``, for every target: one batch per target."""
+    t0 = perf_counter()
+    predicates, batches = plan.cut(subset)
+    keys = [encode_key(p) for p in predicates]
+    rows = []
+    for target in targets:
+        batch = batches[target]
+        fs = enumerate_facts(batch, max_extra_dims=plan.extra_dims(subset))
+        n_facts = np.diff(fs.problem_offsets)
+        results = solve(fs, plan.config.speech_length)
+        for i, res in enumerate(results):
+            facts_json = json.dumps(
+                [{"scope": dict(f.scope), "value": f.value} for f in res.facts]
+            )
+            rows.append(
+                {
+                    "query_key": keys[i],
+                    "target": target,
+                    "n_rows": int(batch.sizes[i]),
+                    "n_facts": int(n_facts[i]),
+                    "prior": float(batch.priors[i]),
+                    "utility": res.utility,
+                    "normalized": res.normalized,
+                    "rows_processed": res.rows_processed,
+                    "solve_seconds": 0.0,
+                    "facts_json": facts_json,
+                    "speech": render_speech(res.facts, target, predicates[i]),
+                }
+            )
+    out = pd.DataFrame(rows, columns=RESULT_SCHEMA.fieldNames())
+    # every problem of the subset has the same fact groups: rows × groups ∝ rows
+    out["solve_seconds"] = (perf_counter() - t0) * out["n_rows"] / out["n_rows"].sum()
+    return out
 
 
-def solve_queries(
+def solve_subsets(
     plan: QueryPlan,
-    queries: list[Query],
+    subsets: list[tuple[int, ...]],
     targets: tuple[str, ...],
     method: str,
     exact_timeout: float | None = None,
 ) -> pd.DataFrame:
-    """Speech-table rows of ``queries`` for every target, in one frame."""
+    """Speech-table rows of every query of ``subsets`` for every target,
+    in one frame."""
     solve = make_solver(method, exact_timeout=exact_timeout)
-    rows = [solve_query(plan, q, t, solve) for q in queries for t in targets]
-    return pd.DataFrame(rows, columns=RESULT_SCHEMA.fieldNames())
+    frames = [solve_subset(plan, s, targets, solve) for s in subsets]
+    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
+        columns=RESULT_SCHEMA.fieldNames()
+    )
 
 
 def drop_zip_importers() -> None:
@@ -170,7 +201,7 @@ def _solve_job(
     exact_timeout: float | None,
 ) -> DataFrame:
     """One job solving every query of ``targets``: task ``i`` of ``k``
-    solves the queries ``plan.assign(k)[i]``."""
+    solves the subsets ``plan.assign(k)[i]``."""
     frame = data.select(
         *[sf.col(d).cast("string").alias(d) for d in config.dims],
         *[sf.col(t).cast("double").alias(t) for t in targets],
@@ -184,9 +215,9 @@ def _solve_job(
         plan = shared.value
         for batch in batches:
             for i in batch["id"].tolist():
-                if tasks[i]:  # else: no query, no rows
-                    queries = [plan.queries[j] for j in tasks[i]]
-                    yield solve_queries(plan, queries, targets, method, exact_timeout)
+                if tasks[i]:  # else: no subset, no rows
+                    subsets = [plan.subsets[j] for j in tasks[i]]
+                    yield solve_subsets(plan, subsets, targets, method, exact_timeout)
         drop_zip_importers()
 
     return spark.range(0, k, 1, numPartitions=k).mapInPandas(solve_tasks, schema=RESULT_SCHEMA)

@@ -7,11 +7,14 @@ appear in the data.
 
 :func:`build_plan` is the one query generator of the program. It
 dictionary-encodes each dimension once (codes in sorted-label order)
-and lists every query with the indices of its rows, in input order.
-:meth:`QueryPlan.problem` cuts a query's problem out of those codes, so
-no query re-encodes its subset. The Spark job in
-:mod:`repro.pipeline.preprocess`, the local solve loop and the Figure 10
-baseline all solve the queries of one plan.
+and lists every *dimension subset* a query may fix. The queries that fix
+the same subset partition the rows, and :meth:`QueryPlan.cut` cuts them
+all at once from the codes: one stable sort on the subset's codes puts
+each query's rows together, in input order, and the queries' problems
+become one :class:`~repro.core.model.Batch` per target. The subset is
+the unit of work: the Spark job in :mod:`repro.pipeline.preprocess`,
+the local solve loop and the Figure 10 baseline all cut and solve the
+subsets of one plan.
 
 :func:`explode_queries` states the same query set relationally: each row
 replicated into every dimension subset of size ≤ L, tagged with its
@@ -31,78 +34,54 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
-from ..core.model import Problem, encode_column
-from .config import Config, KEY_SEP, KV_SEP, encode_key
-
-# Fixed cost of one problem in row visits (cutting it, planning, the
-# solver's set-up and rendering): about 1 ms, the time of some 20,000
-# row visits of the fact enumeration and gain kernels, as measured in
-# process on both flights benchmark workloads.
-PROBLEM_COST = 20_000
-
-
-@dataclass(frozen=True)
-class Query:
-    """One query: its canonical key, predicates and row indices."""
-
-    key: str
-    predicates: dict[str, str]
-    rows: np.ndarray  # indices into the plan's rows, ascending
+from ..core.model import Batch, encode_column
+from .config import Config, KEY_SEP, KV_SEP
 
 
 @dataclass
 class QueryPlan:
-    """The integer-coded input table and every query over it.
+    """The integer-coded input table and every dimension subset a query
+    may fix.
 
     ``codes[i, j]`` is the code of row ``i`` in dimension ``j``;
     ``labels[j][c]`` is the value of code ``c``. Codes follow the sorted
-    labels, so every problem's facts come out in label order."""
+    labels, so every problem's facts come out in label order. A subset
+    is a tuple of dimension indices, ascending."""
 
     config: Config
     codes: np.ndarray  # (n, d) int32
     labels: list[np.ndarray]
     targets: dict[str, np.ndarray]  # target name -> (n,) float64
-    queries: list[Query]  # by decreasing row count
+    subsets: list[tuple[int, ...]]  # by size, then lexicographically
 
-    def problem(self, query: Query, target: str) -> Problem:
-        """The query's summarization problem over its free dimensions,
-        with the mean target value of its rows as the prior. A fully
-        specified query has only the overall-average fact: its problem
-        keeps the first dimension, and :meth:`extra_dims` is 0."""
-        dims = self.config.dims
-        free = [j for j, d in enumerate(dims) if d not in query.predicates] or [0]
-        y = self.targets[target][query.rows]
-        return Problem(
-            dim_names=[dims[j] for j in free],
-            dim_matrix=self.codes[np.ix_(query.rows, free)],
-            dim_labels=[self.labels[j] for j in free],
-            target=y,
-            prior=float(np.mean(y)),
-            target_name=target,
-        )
+    def free_dims(self, subset: tuple[int, ...]) -> list[int]:
+        """The dimensions a subset's problems keep. A fully specified
+        query has only the overall-average fact: its problem keeps the
+        first dimension, and :meth:`extra_dims` is 0."""
+        return [j for j in range(len(self.config.dims)) if j not in subset] or [0]
 
-    def extra_dims(self, query: Query) -> int:
+    def extra_dims(self, subset: tuple[int, ...]) -> int:
         """How many dimensions a fact may restrict beyond the query."""
-        n_free = len(self.config.dims) - len(query.predicates)
+        n_free = len(self.config.dims) - len(subset)
         return min(self.config.max_extra_dims, n_free)
 
-    def cost(self, query: Query) -> int:
-        """Estimated cost of one of the query's problems, in row visits:
-        one pass over its rows per fact group (Σ_{s ≤ extra dims}
-        C(free, s) groups) plus :data:`PROBLEM_COST`."""
-        n_free = len(self.config.dims) - len(query.predicates)
-        groups = sum(comb(n_free, s) for s in range(self.extra_dims(query) + 1))
-        return len(query.rows) * groups + PROBLEM_COST
+    def cost(self, subset: tuple[int, ...]) -> int:
+        """Estimated cost of solving a subset's queries for one target, in
+        row visits: one pass over the table's rows (which the queries
+        partition) per fact group, Σ_{s ≤ extra dims} C(free, s)."""
+        n_free = len(self.config.dims) - len(subset)
+        groups = sum(comb(n_free, s) for s in range(self.extra_dims(subset) + 1))
+        return self.codes.shape[0] * groups
 
     def assign(self, k: int) -> list[list[int]]:
-        """Split the queries into ``k`` tasks of about equal estimated
-        cost, as lists of indices into :attr:`queries`.
+        """Split the subsets into ``k`` tasks of about equal estimated
+        cost, as lists of indices into :attr:`subsets`.
 
-        Longest processing time first (Graham, 1969): each query, by
+        Longest processing time first (Graham, 1969): each subset, by
         decreasing :meth:`cost`, goes to the task with the least load so
-        far. Ties go to the lower query and task index, and loads are
+        far. Ties go to the lower subset and task index, and loads are
         integers, so the split depends on the plan alone."""
-        costs = [self.cost(q) for q in self.queries]
+        costs = [self.cost(s) for s in self.subsets]
         order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
         loads = [(0, t) for t in range(k)]
         tasks: list[list[int]] = [[] for _ in range(k)]
@@ -112,6 +91,40 @@ class QueryPlan:
             heapq.heappush(loads, (load + costs[i], t))
         return tasks
 
+    def cut(self, subset: tuple[int, ...]) -> tuple[list[dict[str, str]], dict[str, Batch]]:
+        """The queries that fix the dimensions ``subset``: their
+        predicates, in the order of their codes, and per target the
+        batch of their problems over the free dimensions, query ``i``
+        being problem ``i``. A stable sort on the subset's codes makes
+        each query's rows contiguous and keeps them in input order; each
+        problem's prior is the mean target value of its rows."""
+        dims, n = self.config.dims, self.codes.shape[0]
+        if subset:
+            order = np.lexsort(self.codes[:, subset[::-1]].T)  # stable
+            fixed = self.codes[order][:, subset]
+            breaks = np.flatnonzero((fixed[1:] != fixed[:-1]).any(axis=1)) + 1
+            bounds = np.concatenate(([0], breaks, [n]))
+        else:
+            order, fixed, bounds = np.arange(n), self.codes[:, ()], np.array([0, n])
+        predicates = [
+            {dims[j]: self.labels[j][c] for j, c in zip(subset, row)}
+            for row in fixed[bounds[:-1]].tolist()
+        ]
+        free = self.free_dims(subset)
+        matrix = self.codes[np.ix_(order, free)]
+        batches = {
+            t: Batch(
+                dim_names=[dims[j] for j in free],
+                dim_matrix=matrix,
+                dim_labels=[self.labels[j] for j in free],
+                target=y[order],
+                bounds=bounds,
+                target_name=t,
+            )
+            for t, y in self.targets.items()
+        }
+        return predicates, batches
+
 
 def _check_separators(what: str, value: str) -> None:
     if KEY_SEP in value or KV_SEP in value:
@@ -119,7 +132,8 @@ def _check_separators(what: str, value: str) -> None:
 
 
 def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) -> QueryPlan:
-    """Encode ``frame`` and list every query of ``config`` over it.
+    """Encode ``frame`` and list every dimension subset a query of
+    ``config`` may fix (none for an empty frame).
 
     Raises ``ValueError``, naming the column, on a NULL dimension value,
     a NULL or NaN target, or a query-key separator (``|`` or ``=``) in a
@@ -143,16 +157,12 @@ def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) ->
             _check_separators(f"dimension column {d!r} value {v!r}", v)
         labels.append(uniques)
 
-    coded = pd.DataFrame(codes, columns=range(len(dims)))
-    queries = [Query("", {}, np.arange(len(coded)))] if len(coded) else []
-    for size in range(1, config.max_query_len + 1):
-        for subset in combinations(range(len(dims)), size):
-            for key, rows in coded.groupby(list(subset), sort=True).indices.items():
-                key = key if isinstance(key, tuple) else (key,)
-                preds = {dims[j]: labels[j][c] for j, c in zip(subset, key)}
-                queries.append(Query(encode_key(preds), preds, rows))
-    queries.sort(key=lambda q: -len(q.rows))
-    return QueryPlan(config=config, codes=codes, labels=labels, targets=ys, queries=queries)
+    subsets = [
+        subset
+        for size in range(config.max_query_len + 1)
+        for subset in combinations(range(len(dims)), size)
+    ] if len(frame) else []
+    return QueryPlan(config=config, codes=codes, labels=labels, targets=ys, subsets=subsets)
 
 
 def _key_expr(subset: tuple[str, ...]):

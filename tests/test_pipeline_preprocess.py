@@ -1,6 +1,7 @@
 """Integration tests for the Problem Generator and the batch
 pre-processing job — the distributed heart of the reproduction."""
 import importlib
+import itertools
 import json
 import re
 import sys
@@ -26,7 +27,7 @@ from repro.pipeline.preprocess import (
     drop_zip_importers,
     preprocess_all,
     preprocess_target,
-    solve_queries,
+    solve_subsets,
 )
 from repro.pipeline.problems import build_plan, count_queries, explode_queries
 
@@ -88,10 +89,12 @@ class TestProblemGenerator:
 
 def solve_one(pdf, predicates, method):
     """The speech row of one query of ``pdf``, solved as a Spark task
-    solves it: from the query plan, by the per-query solve function."""
+    solves it: in the batch of its dimension subset, from the query
+    plan."""
     plan = build_plan(pdf, CFG, ("delay",))
-    query = next(q for q in plan.queries if q.predicates == predicates)
-    return solve_queries(plan, [query], ("delay",), method)
+    subset = tuple(j for j, d in enumerate(CFG.dims) if d in predicates)
+    out = solve_subsets(plan, [subset], ("delay",), method)
+    return out[out["query_key"] == encode_key(predicates)].reset_index(drop=True)
 
 
 class TestSolveQueryGroup:
@@ -133,8 +136,10 @@ WINTER_SPEECH = (
 
 @pytest.mark.parametrize("method", ["E", "G-B", "G-P", "G-O"])
 def test_each_problem_enumerated_once(monkeypatch, method):
-    """The solver reuses the fact set built for ``n_facts``; the speech
-    row is the same as when every problem was enumerated twice."""
+    """The subset's two queries (season Summer and Winter) are enumerated
+    as one batch, and the solver reuses that fact set for ``n_facts``;
+    the speech row is the same as when every problem was enumerated
+    alone."""
     calls = []
 
     def counting(problem, max_extra_dims=2):
@@ -423,51 +428,110 @@ class TestOneSolvePath:
         )
 
 
-def skewed_pdf(n=20_000):
-    """85 % of the rows in one region, enough rows that row visits
-    outweigh the fixed per-problem cost: the stride puts the whole table
-    and the large region in one task."""
-    rng = np.random.default_rng(5)
-    return pd.DataFrame(
-        {
-            "region": rng.choice(["North", "South", "East", "West"], n, p=[0.85, 0.05, 0.05, 0.05]),
-            "season": rng.choice(["Summer", "Winter"], n),
-            "daytime": rng.choice(["am", "pm"], n),
-            "delay": rng.random(n),
-        }
-    )
+class TestCut:
+    """``QueryPlan.cut`` lists a subset's queries and stacks their
+    problems, each over its own rows in input order."""
+
+    @pytest.mark.parametrize("max_query_len", [0, 1, 2, 3])
+    def test_queries_partition_rows_in_input_order(self, max_query_len):
+        pdf = two_target_pdf()
+        cfg = Config(dims=CFG.dims, targets=("delay", "cancelled"), max_query_len=max_query_len)
+        plan = build_plan(pdf, cfg, cfg.targets)
+        for subset in plan.subsets:
+            predicates, batches = plan.cut(subset)
+            values = [tuple(p[CFG.dims[j]] for j in subset) for p in predicates]
+            assert values == sorted(set(values))  # codes follow the sorted labels
+            free = [d for j, d in enumerate(CFG.dims) if j not in subset] or [CFG.dims[0]]
+            for target, batch in batches.items():
+                assert batch.bounds[-1] == len(pdf)
+                assert batch.dim_names == free
+                for i, preds in enumerate(predicates):
+                    sub = pdf[(pdf[list(preds)] == pd.Series(preds)).all(axis=1)]
+                    a, b = batch.bounds[i], batch.bounds[i + 1]
+                    assert b - a == len(sub) > 0
+                    np.testing.assert_array_equal(batch.target[a:b], sub[target].to_numpy())
+                    for j, d in enumerate(batch.dim_names):
+                        labels = batch.dim_labels[j][batch.dim_matrix[a:b, j]]
+                        np.testing.assert_array_equal(labels, sub[d].to_numpy())
+                    assert batch.priors[i] == np.mean(sub[target].to_numpy())
+
+    def test_every_query_of_a_subset(self):
+        plan = build_plan(toy_pdf(), CFG, ("delay",))
+        keys = [encode_key(p) for s in plan.subsets for p in plan.cut(s)[0]]
+        assert len(set(keys)) == len(keys) == len(solve_subsets(plan, plan.subsets, ("delay",), "G-B"))
+        pdf = toy_pdf()
+        assert sum(len(plan.cut(s)[0]) for s in plan.subsets) == 1 + sum(
+            len(pdf[list(sub)].drop_duplicates())
+            for size in (1, 2)
+            for sub in itertools.combinations(CFG.dims, size)
+        )
+
+    def test_empty_input_has_no_subsets(self):
+        assert build_plan(toy_pdf().iloc[:0], CFG, ("delay",)).subsets == []
+
+
+class TestSolveSeconds:
+    """``solve_seconds`` splits a batch's wall time (one subset, every
+    target) over its rows by rows × fact groups, i.e. by rows."""
+
+    def test_rows_sum_to_batch_wall_time(self, monkeypatch):
+        ticks = itertools.count(0.0, 2.5)  # every batch takes 2.5 s
+        monkeypatch.setattr(preprocess, "perf_counter", lambda: next(ticks))
+        plan = build_plan(two_target_pdf(), TWO_TARGETS, TWO_TARGETS.targets)
+        for subset in plan.subsets:
+            out = solve_subsets(plan, [subset], TWO_TARGETS.targets, "G-B")
+            assert len(out) == 2 * len(plan.cut(subset)[0])
+            assert out["solve_seconds"].sum() == pytest.approx(2.5, rel=1e-12)
+            assert out["n_rows"].sum() == 2 * 60
+            np.testing.assert_allclose(out["solve_seconds"], 2.5 * out["n_rows"] / 120, rtol=1e-12)
+
+    def test_rows_sum_to_measured_time(self):
+        plan = build_plan(two_target_pdf(), TWO_TARGETS, TWO_TARGETS.targets)
+        for subset in plan.subsets:
+            t0 = preprocess.perf_counter()
+            out = solve_subsets(plan, [subset], TWO_TARGETS.targets, "E")
+            wall = preprocess.perf_counter() - t0
+            assert 0 < out["solve_seconds"].sum() <= wall
 
 
 class TestTaskAssignment:
-    """``QueryPlan.assign`` splits the queries into the solve job's tasks."""
+    """``QueryPlan.assign`` splits the dimension subsets into the solve
+    job's tasks; a subset's queries are solved together, by one task."""
 
     @pytest.mark.parametrize("k", [1, 3, 4, 50])
     def test_every_query_once(self, k):
-        plan = build_plan(skewed_pdf(), CFG, ("delay",))
+        plan = build_plan(toy_pdf(), CFG, ("delay",))
         tasks = plan.assign(k)
         assert len(tasks) == k
-        assert sorted(i for t in tasks for i in t) == list(range(len(plan.queries)))
+        assert sorted(i for t in tasks for i in t) == list(range(len(plan.subsets)))
+        keys = pd.concat(
+            [solve_subsets(plan, [plan.subsets[i] for i in t], ("delay",), "G-B") for t in tasks if t]
+        )["query_key"]
+        assert keys.is_unique and len(keys) == sum(len(plan.cut(s)[0]) for s in plan.subsets)
 
     def test_deterministic(self):
         tasks = build_plan(toy_pdf(), CFG, ("delay",)).assign(4)
         assert tasks == build_plan(toy_pdf(), CFG, ("delay",)).assign(4)
 
     def test_no_worse_than_stride_on_skewed_plan(self):
-        plan = build_plan(skewed_pdf(), CFG, ("delay",))
-        cost = [plan.cost(q) for q in plan.queries]
+        """The subsets' costs are skewed by their fact groups, 7 : 4 : 2
+        for zero, one and two predicates."""
+        plan = build_plan(toy_pdf(), CFG, ("delay",))
+        cost = sorted((plan.cost(s) for s in plan.subsets), reverse=True)
         k = 4
         stride = max(sum(cost[i::k]) for i in range(k))
-        balanced = max(sum(cost[i] for i in t) for t in plan.assign(k))
-        assert balanced < 0.8 * stride  # 275,578 against 373,826
+        balanced = max(sum(plan.cost(plan.subsets[i]) for i in t) for t in plan.assign(k))
+        assert balanced < 0.8 * stride  # 420 against 540
 
     def test_cost_counts_rows_per_fact_group(self):
         plan = build_plan(toy_pdf(), CFG, ("delay",))
-        by_key = {q.key: q for q in plan.queries}
         # no predicate: 3 free dims, facts on <= 2 of them: 1 + 3 + 3 groups
-        assert plan.cost(by_key[""]) == 60 * 7 + problems.PROBLEM_COST
+        assert plan.cost(()) == 60 * 7
+        # one predicate: 2 free dims, 1 + 2 + 1 groups, over the rows of
+        # all the subset's queries, which partition the table
+        assert plan.cost((1,)) == 60 * 4
         # two predicates: 1 free dim, 1 + 1 groups
-        q = next(q for q in plan.queries if len(q.predicates) == 2)
-        assert plan.cost(q) == len(q.rows) * 2 + problems.PROBLEM_COST
+        assert plan.cost((0, 2)) == 60 * 2
 
     def test_empty_tasks_yield_no_rows(self, spark, toy_sdf):
         cfg = Config(dims=CFG.dims, targets=CFG.targets, max_query_len=0)
