@@ -80,7 +80,8 @@ def exact_summary(
 ) -> SpeechResult:
     """Guaranteed-optimal speech of up to ``m`` facts (Corollary 1).
     ``factset`` is ``problem``'s, from
-    :func:`~repro.core.facts.enumerate_facts`.
+    :func:`~repro.core.facts.enumerate_facts`; utilities are over
+    ``problem``'s prior (:meth:`~repro.core.facts.FactSet.over`).
 
     ``max_seconds`` mirrors the paper's per-scenario timeout (48 h on
     their testbed): when exceeded, the best speech found so far is
@@ -89,7 +90,7 @@ def exact_summary(
 
     ``extra["representatives"]`` counts the distinct scope row sets the
     DFS ranks; ``extra["nodes_expanded"]`` the speeches it evaluated."""
-    return exact_batch(factset, m, max_seconds)[0]
+    return exact_batch(factset.over(problem), m, max_seconds)[0]
 
 
 def exact_batch(

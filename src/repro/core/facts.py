@@ -115,6 +115,25 @@ class FactSet:
             codes=self.codes[lo:hi],
         )
 
+    def over(self, problem: Problem) -> "FactSet":
+        """These facts of one problem, solved over ``problem``'s rows and
+        prior: the batch of one that the single-problem solvers run.
+        ``problem`` must have the rows and dimensions the facts were
+        enumerated from; its prior may differ, since no fact depends on
+        it. Raises ``ValueError`` otherwise."""
+        b = self.batch
+        if b.n_problems != 1 or problem.n_rows != b.n_rows or problem.dim_names != b.dim_names:
+            raise ValueError("the facts were not enumerated from this problem")
+        return FactSet(
+            batch=Batch.of(problem),
+            group_dims=self.group_dims,
+            offsets=self.offsets,
+            contains=self.contains,
+            row_to_fact=self.row_to_fact,
+            values=self.values,
+            codes=self.codes,
+        )
+
     def fact(self, fact_id: int) -> Fact:
         """Materialize a global fact id as a labelled :class:`Fact`."""
         p = self.batch
@@ -183,24 +202,18 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
         codes.append(group_codes)
         owners.append(owner)
         built[dims] = row_to_fact, group_codes, owner
-    if n_problems == 1:  # ids follow the groups: a shift per group
-        offsets = np.zeros(len(lattice) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([v.shape[0] for v in values])
-        stacked += offsets[:-1, None].astype(np.int32)
-        all_values, all_codes = np.concatenate(values), np.concatenate(codes)
-    else:
-        counts = np.array([np.bincount(o, minlength=n_problems) for o in owners]).T
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(counts)  # by problem, then group
-        # global id = local id + shift[problem, group]: the start of the
-        # problem's run of the group less the start of its facts in the group
-        shift = offsets[:-1].reshape(counts.shape) - (np.cumsum(counts, axis=0) - counts)
-        stacked += np.repeat(shift.T.astype(np.int32), batch.sizes, axis=1)
-        ids = np.concatenate([np.arange(o.shape[0]) + shift[o, g] for g, o in enumerate(owners)])
-        all_values = np.empty(ids.shape[0])
-        all_values[ids] = np.concatenate(values)
-        all_codes = np.empty((ids.shape[0], d), dtype=np.int32)
-        all_codes[ids] = np.concatenate(codes)
+    counts = np.array([np.bincount(o, minlength=n_problems) for o in owners]).T
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(counts)  # by problem, then group
+    # global id = local id + shift[problem, group]: the start of the
+    # problem's run of the group less the start of its facts in the group
+    shift = offsets[:-1].reshape(counts.shape) - (np.cumsum(counts, axis=0) - counts)
+    stacked += np.repeat(shift.T.astype(np.int32), batch.sizes, axis=1)
+    ids = np.concatenate([np.arange(o.shape[0]) + shift[o, g] for g, o in enumerate(owners)])
+    all_values = np.empty(ids.shape[0])
+    all_values[ids] = np.concatenate(values)
+    all_codes = np.empty((ids.shape[0], d), dtype=np.int32)
+    all_codes[ids] = np.concatenate(codes)
     masks = np.array([sum(1 << j for j in dims) for dims in lattice], dtype=np.int64)
     contains = (masks[:, None] & masks[None, :]) == masks[:, None]
     return FactSet(

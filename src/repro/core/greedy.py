@@ -39,12 +39,13 @@ def greedy_summary(
 ) -> SpeechResult:
     """Select up to ``m`` facts greedily; returns the speech plus cost
     counters. ``factset`` is ``problem``'s, from
-    :func:`~repro.core.facts.enumerate_facts`. ``plan=None`` means the
-    full plan: every fact's gain is computed each iteration (G-B).
-    ``extra["first_gains"]`` keeps the first iteration's gain array
-    (``-inf`` where the plan pruned); under the full plan it holds every
-    fact's single-fact utility."""
-    return _greedy(factset, m, plan or full_plan(factset), [0])[0]
+    :func:`~repro.core.facts.enumerate_facts`; the gains are over
+    ``problem``'s prior (:meth:`~repro.core.facts.FactSet.over`).
+    ``plan=None`` means the full plan: every fact's gain is computed
+    each iteration (G-B). ``extra["first_gains"]`` keeps the first
+    iteration's gain array (``-inf`` where the plan pruned); under the
+    full plan it holds every fact's single-fact utility."""
+    return _greedy(factset.over(problem), m, plan or full_plan(factset), [0])[0]
 
 
 def greedy_batch(
@@ -123,15 +124,10 @@ def _greedy(
             chosen[p].append(f)
         # the paper's Line 11 for every problem at once: rows in the
         # scope of their problem's new fact take its value if closer
-        if active.shape[0] == 1:  # one problem: one group's row, one value
-            f = int(picked[0])
-            in_scope = rows[factset.group_of(f)] == f
-            closer = np.abs(factset.values[f] - target)
-        else:
-            per_row = np.repeat(picked, sizes[active])
-            group = np.repeat(factset.group_of(picked), sizes[active])
-            in_scope = rows[group, np.arange(per_row.shape[0])] == per_row
-            closer = np.abs(factset.values[per_row] - target)
+        per_row = np.repeat(picked, sizes[active])
+        group = np.repeat(factset.group_of(picked), sizes[active])
+        in_scope = rows[group, np.arange(per_row.shape[0])] == per_row
+        closer = np.abs(factset.values[per_row] - target)
         dev = np.where(in_scope, np.minimum(dev, closer), dev)
     _record_deviation(final_dev, dev, active, sizes, np.ones(active.shape[0], dtype=bool))
     results = []
@@ -178,9 +174,6 @@ def _first_max(gains: np.ndarray, fact_bounds: np.ndarray) -> tuple[np.ndarray, 
     """The segmented argmax: each problem's best gain and the id of its
     first fact with that gain, in the problem's own order, as
     ``np.argmax`` over the problem's run of ids gives it."""
-    if fact_bounds.shape[0] == 2:  # one problem: its run is every id
-        best = int(gains.argmax())
-        return gains[best : best + 1], np.array([best])
     starts, n = fact_bounds[:-1], gains.shape[0]
     best_gain = np.maximum.reduceat(gains, starts)
     at_best = gains == np.repeat(best_gain, np.diff(fact_bounds))

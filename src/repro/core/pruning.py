@@ -73,24 +73,26 @@ def naive_plan(factset: FactSet) -> PruningPlan:
 
 
 #: Row × group cells the gain kernel aggregates per step: its float64
-#: temporary (512 KB) then stays in a core's L2 cache. A batch's gains
-#: were 2.3× slower in one step over 29,000 rows × 16 groups than in
-#: steps of about this size, which run at the speed of the problems
-#: solved one by one (flights-large-go, in process, 4 vCPU Xeon).
+#: temporary (512 KB) then stays in a core's L2 cache. On
+#: flights-large-go (seed 2, 4 vCPU Xeon) a pass's ``preprocess_s`` was
+#: 0.453 s in such steps and 0.500 s in one step per call (medians of 10
+#: alternating benchmark runs, 10/10 faster); flights-exact, whose
+#: 580-row subsets fit in one step, did not move (0.384 against 0.370
+#: s, 5/10).
 BLOCK_CELLS = 1 << 16
 
 
 def kernel_blocks(factset: FactSet, problems: np.ndarray) -> list[tuple[int, int, int, int]]:
     """Split the stacked rows of ``problems`` (ascending) into runs of
-    whole problems of about :data:`BLOCK_CELLS` cells each, as
-    ``(first row, end row, first fact id, end fact id)``. A problem
-    larger than that is a run of its own, so a fact's rows always lie
-    in one run."""
+    whole problems, as ``(first row, end row, first fact id, end fact
+    id)``, so a fact's rows always lie in one run. A run ends with the
+    first problem whose rows reach the next multiple of a step of
+    :data:`BLOCK_CELLS` cells: it exceeds a step by at most its last
+    problem, and a problem larger than a step may share its run with
+    smaller ones before it."""
     sizes = factset.batch.sizes[problems]
     step = max(1, BLOCK_CELLS // factset.n_groups)
     facts = factset.problem_offsets
-    if len(problems) == 1 or sizes.sum() <= step:
-        return [(0, int(sizes.sum()), int(facts[problems[0]]), int(facts[problems[-1] + 1]))]
     ends = np.cumsum(sizes)
     # each run ends with the problem that reaches the next multiple of step
     last = np.unique(np.searchsorted(ends, np.arange(step, ends[-1], step)))

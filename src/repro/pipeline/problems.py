@@ -136,9 +136,9 @@ def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) ->
     ``config`` may fix (none for an empty frame).
 
     Raises ``ValueError``, naming the column, on a NULL dimension value,
-    a NULL or NaN target, or a query-key separator (``|`` or ``=``) in a
-    dimension name or value: such rows have no well-defined query key
-    or utility."""
+    a NULL, NaN or infinite target, or a query-key separator (``|`` or
+    ``=``) in a dimension name or value: such rows have no well-defined
+    query key or utility."""
     dims = list(config.dims)
     for d in dims:
         _check_separators(f"dimension name {d!r}", d)
@@ -149,6 +149,8 @@ def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) ->
         ys[t] = frame[t].to_numpy(dtype=np.float64)
         if np.isnan(ys[t]).any():
             raise ValueError(f"target column {t!r} has NULL or NaN values")
+        if np.isinf(ys[t]).any():
+            raise ValueError(f"target column {t!r} has infinite values")
     codes = np.empty((len(frame), len(dims)), dtype=np.int32)
     labels = []
     for j, d in enumerate(dims):

@@ -144,3 +144,24 @@ def test_gapped_codes_and_constant_column():
     codes = np.column_stack([rng.integers(0, 3, 40) * 2, np.zeros(40, int), rng.integers(0, 4, 40)])
     y = np.round(rng.gamma(2.0, 5.0, 40))
     assert_batch_equals_alone(coded_plan(codes, y, 2), 3)
+
+
+def test_single_problem_solvers_solve_the_given_problem():
+    """``greedy_summary`` and ``exact_summary`` solve over the problem
+    they are given: facts enumerated with one prior, solved with
+    another, give what facts enumerated with the other give. Facts of
+    other rows are rejected."""
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 3, (30, 2))
+    y = np.round(rng.gamma(2.0, 5.0, 30))
+    labels = [np.arange(3).astype(str)] * 2
+    problem = Problem(["a", "b"], codes, labels, y, prior=float(np.mean(y)))
+    shifted = Problem(["a", "b"], codes, labels, y, prior=problem.prior + 3.0)
+    fewer = Problem(["a", "b"], codes[:-1], labels, y[:-1], prior=problem.prior)
+    fs = enumerate_facts(problem, 2)
+    for solve in (greedy_summary, exact_summary):
+        res = solve(shifted, fs, 2)
+        assert outcome(res) == outcome(solve(shifted, enumerate_facts(shifted, 2), 2))
+        assert res.utility != solve(problem, fs, 2).utility
+        with pytest.raises(ValueError, match="not enumerated from this problem"):
+            solve(fewer, fs, 2)

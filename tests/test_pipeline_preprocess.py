@@ -622,6 +622,13 @@ class TestHostileInputs:
         with pytest.raises(ValueError, match="'delay' has NULL or NaN"):
             self.run(spark, rows)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_target(self, spark, value):
+        # an infinite row makes its problems' deviations and gains NaN
+        rows = self.ROWS + [("East", "Winter", "am", value)]
+        with pytest.raises(ValueError, match="'delay' has infinite values"):
+            self.run(spark, rows)
+
     @pytest.mark.parametrize("name", ["day|time", "day=time"])
     def test_separator_in_dimension_name(self, spark, name):
         cfg = Config(dims=("region", "season", name), targets=("delay",))
