@@ -21,7 +21,8 @@ utilities of complete speeches are discovered.
 
 The single-fact utilities (Line 6) are the gains of the greedy seed's
 first iteration, so they are computed once. For a batch of problems
-(:func:`exact_batch`) the seeds come from one greedy batch; the
+(:func:`exact_batch`) the seeds come from one greedy loop over the
+batch, which returns fact ids without labelling them; the
 representatives and the DFS run per problem, on its own facts cut from
 the batch's lattice (:meth:`~repro.core.facts.FactSet.select`).
 
@@ -50,8 +51,9 @@ from itertools import combinations
 import numpy as np
 
 from .facts import FactSet
-from .greedy import greedy_batch
+from .greedy import _greedy
 from .model import Problem, SpeechResult
+from .pruning import full_plan
 from . import utility as U
 
 _EPS = 1e-9
@@ -98,7 +100,7 @@ def exact_batch(
 ) -> list[SpeechResult]:
     """:func:`exact_summary` for every problem of ``factset``'s batch, in
     problem order; ``max_seconds`` caps each problem's search."""
-    seeds = greedy_batch(factset, m)
+    seeds = _greedy(factset, m, full_plan(factset), range(factset.batch.n_problems))
     return [_search(factset.select(p), m, seed, max_seconds) for p, seed in enumerate(seeds)]
 
 

@@ -45,7 +45,10 @@ def greedy_summary(
     each iteration (G-B). ``extra["first_gains"]`` keeps the first
     iteration's gain array (``-inf`` where the plan pruned); under the
     full plan it holds every fact's single-fact utility."""
-    return _greedy(factset.over(problem), m, plan or full_plan(factset), [0])[0]
+    own = factset.over(problem)
+    res = _greedy(own, m, plan or full_plan(factset), [0])[0]
+    res.facts = [own.fact(f) for f in res.extra["fact_ids"]]
+    return res
 
 
 def greedy_batch(
@@ -71,6 +74,9 @@ def greedy_batch(
     if rest:
         for p, res in zip(rest, _greedy(factset, m, full_plan(factset), rest)):
             results[p] = res
+    starts = factset.problem_offsets
+    for p, res in enumerate(results):
+        res.facts = [factset.fact(int(starts[p]) + f) for f in res.extra["fact_ids"]]
     return results
 
 
@@ -78,8 +84,11 @@ def _greedy(
     factset: FactSet, m: int, plan: PruningPlan, problems: Sequence[int]
 ) -> list[SpeechResult]:
     """The greedy loop over ``problems`` of the batch (ascending), all
-    at once; returns their results in that order. A plan with targets
-    needs a batch of one."""
+    at once; returns their results in that order, each with its facts
+    as ids only (``extra["fact_ids"]``, in the problem's own numbering)
+    and ``facts`` empty: :func:`greedy_batch` and
+    :func:`greedy_summary` label them, E's seeds need the ids alone. A
+    plan with targets needs a batch of one."""
     batch = factset.batch
     if plan.targets and batch.n_problems > 1:
         raise ValueError("a pruning plan with targets applies to a batch of one problem")
@@ -137,7 +146,7 @@ def _greedy(
         k = len(chosen[p]) + (p in stopped)  # gain computations it took part in
         results.append(
             SpeechResult(
-                facts=[factset.fact(f) for f in chosen[p]],
+                facts=[],
                 utility=util,
                 normalized=1.0 if total <= 0 else util / total,
                 # each gain pass and each applied fact scans the problem's rows

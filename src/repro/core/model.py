@@ -23,15 +23,35 @@ from functools import cached_property
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 
-def encode_column(values: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+def encode_column(
+    values: pd.Series | pa.Array | pa.ChunkedArray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary-encode one dimension column: int32 codes in the sorted
     order of the string labels, and those labels. The code order is the
     fact order, so it also decides which of two equal-gain facts a
-    solver picks."""
-    codes, labels = pd.factorize(values.astype(str), sort=True)
-    return codes.astype(np.int32), np.asarray(labels)
+    solver picks.
+
+    An Arrow string column is encoded as it is; any other column is
+    keyed by its values as strings (pandas ``astype(str)``). Arrow
+    dictionary-encodes in first-seen order, and the codes are then
+    renumbered by the labels' sort order: UTF-8 byte order, which is
+    code point order, the order of Python's ``sorted``."""
+    if isinstance(values, (pa.Array, pa.ChunkedArray)) and not pa.types.is_string(values.type):
+        values = values.to_pandas()
+    if isinstance(values, pd.Series):
+        values = pa.array(values.astype(str), type=pa.string())
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    encoded = values.dictionary_encode()
+    order = pc.array_sort_indices(encoded.dictionary).to_numpy()
+    rank = np.empty(order.shape[0], dtype=np.int32)
+    rank[order] = np.arange(order.shape[0], dtype=np.int32)
+    codes = rank[encoded.indices.to_numpy()]
+    return codes, encoded.dictionary.take(order).to_numpy(zero_copy_only=False)
 
 
 @dataclass(frozen=True)

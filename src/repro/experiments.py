@@ -301,4 +301,4 @@ def solve_problems_locally(
     time solver work without Spark scheduling noise): the same query
     plan and per-subset batch solve as the Spark tasks."""
     plan = build_plan(pdf, config, (target,))
-    return solve_subsets(plan, plan.subsets, (target,), method, exact_timeout)
+    return solve_subsets(plan, plan.subsets, (target,), method, exact_timeout).to_pandas()

@@ -4,28 +4,31 @@ For every (target, query) pair the stage solves one speech
 summarization problem and materializes the resulting speech. The whole
 stage is one Spark job for all targets:
 
-1. the driver collects the dimension and target columns once and builds
-   the :class:`~repro.pipeline.problems.QueryPlan`: each dimension
+1. the driver collects the dimension and target columns once, as
+   Arrow, with one projection (:func:`collect_input`), and builds the
+   :class:`~repro.pipeline.problems.QueryPlan`: each dimension
    dictionary-encoded once, and the list of dimension subsets a query
    may fix;
-2. the plan — codes, labels, targets and the subset list — is
-   broadcast, and ``k = defaultParallelism`` tasks of a ``mapInPandas``
-   job each solve their share of the subsets
+2. ``k = defaultParallelism`` tasks of one RDD job each solve their
+   share of the subsets
    (:meth:`~repro.pipeline.problems.QueryPlan.assign`: longest first,
-   each to the least-loaded task by estimated rows × fact groups). A
-   task cuts all queries of a subset from the codes at once
+   each to the least-loaded task by estimated rows × fact groups). The
+   job's closure carries the plan — codes, labels, targets and the
+   subset list — and the task split; PySpark broadcasts a pickled
+   closure over 1 MiB by itself. A task cuts all queries of a subset
+   from the codes at once
    (:meth:`~repro.pipeline.problems.QueryPlan.cut`) and, per target,
    solves their problems as one batch: one fact lattice
    (:func:`~repro.core.facts.enumerate_facts`) and one gain kernel per
    greedy iteration for the batch, with the paper's solvers (greedy
    G-B/G-P/G-O or exact E from :mod:`repro.core`), then renders each
    speech. No row is replicated or shuffled, and each task makes one
-   call into Python;
-3. the driver collects the speech rows (one per (target, query); a few
-   hundred to some 17,000 at paper scale) with Arrow, writes them in
-   (target, query_key) order as one Parquet file, and reads the table
-   back with its known schema — the run-time component answers voice
-   queries by lookup.
+   call into Python and returns its rows as one Arrow table;
+3. the driver concatenates the speech rows (one per (target, query); a
+   few hundred to some 17,000 at paper scale) and sorts them by
+   (target, query_key) with Arrow, writes them as one Parquet file, and
+   reads the table back with its known schema — the run-time component
+   answers voice queries by lookup.
 
 Facts for a query restrict up to ``config.max_extra_dims`` dimensions
 *beyond* the query predicates (Section III); dimensions fixed by the
@@ -51,11 +54,9 @@ from typing import Callable
 from urllib.parse import urlsplit
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as sf
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     DoubleType,
@@ -90,6 +91,7 @@ RESULT_SCHEMA = StructType(
         StructField("speech", StringType()),
     ]
 )
+ARROW_SCHEMA = to_arrow_schema(RESULT_SCHEMA)
 
 
 def make_solver(
@@ -122,7 +124,7 @@ def solve_subset(
     subset: tuple[int, ...],
     targets: tuple[str, ...],
     solve: Callable[[FactSet, int], list[SpeechResult]],
-) -> pd.DataFrame:
+) -> pa.Table:
     """Speech-table rows of every query that fixes the dimensions
     ``subset``, for every target: one batch per target."""
     t0 = perf_counter()
@@ -148,15 +150,15 @@ def solve_subset(
                     "utility": res.utility,
                     "normalized": res.normalized,
                     "rows_processed": res.rows_processed,
-                    "solve_seconds": 0.0,
                     "facts_json": facts_json,
                     "speech": render_speech(res.facts, target, predicates[i]),
                 }
             )
-    out = pd.DataFrame(rows, columns=RESULT_SCHEMA.fieldNames())
     # every problem of the subset has the same fact groups: rows × groups ∝ rows
-    out["solve_seconds"] = (perf_counter() - t0) * out["n_rows"] / out["n_rows"].sum()
-    return out
+    wall, total = perf_counter() - t0, sum(row["n_rows"] for row in rows)
+    for row in rows:
+        row["solve_seconds"] = wall * row["n_rows"] / total
+    return pa.Table.from_pylist(rows, schema=ARROW_SCHEMA)
 
 
 def solve_subsets(
@@ -165,14 +167,17 @@ def solve_subsets(
     targets: tuple[str, ...],
     method: str,
     exact_timeout: float | None = None,
-) -> pd.DataFrame:
+) -> pa.Table:
     """Speech-table rows of every query of ``subsets`` for every target,
-    in one frame."""
+    in one table."""
     solve = make_solver(method, exact_timeout=exact_timeout)
-    frames = [solve_subset(plan, s, targets, solve) for s in subsets]
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        columns=RESULT_SCHEMA.fieldNames()
-    )
+    return _concat([solve_subset(plan, s, targets, solve) for s in subsets])
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """``tables`` as one table in :data:`ARROW_SCHEMA`, also when there
+    are none."""
+    return pa.concat_tables([ARROW_SCHEMA.empty_table(), *tables])
 
 
 def drop_zip_importers() -> None:
@@ -192,6 +197,26 @@ def drop_zip_importers() -> None:
             del sys.path_importer_cache[path]
 
 
+def _quote(name: str) -> str:
+    """``name`` as a Spark SQL identifier: in backticks, each backtick
+    doubled, so dots, spaces and backticks are part of the name."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def collect_input(data: DataFrame, config: Config, targets: tuple[str, ...]) -> pa.Table:
+    """The dimension columns as strings and ``targets`` as doubles, in
+    that order, collected as Arrow by one projection. A column is cast
+    only where ``data``'s schema does not already have that type."""
+    types = {f.name: f.dataType for f in data.schema.fields}
+    exprs = []
+    for names, kind, sql_type in ((config.dims, StringType, "STRING"), (targets, DoubleType, "DOUBLE")):
+        for name in names:
+            q = _quote(name)
+            column = q if isinstance(types.get(name), kind) else f"CAST({q} AS {sql_type})"
+            exprs.append(f"{column} AS {q}")
+    return data.selectExpr(*exprs).toArrow()
+
+
 def _solve_job(
     spark: SparkSession,
     data: DataFrame,
@@ -199,28 +224,25 @@ def _solve_job(
     targets: tuple[str, ...],
     method: str,
     exact_timeout: float | None,
-) -> DataFrame:
-    """One job solving every query of ``targets``: task ``i`` of ``k``
-    solves the subsets ``plan.assign(k)[i]``."""
-    frame = data.select(
-        *[sf.col(d).cast("string").alias(d) for d in config.dims],
-        *[sf.col(t).cast("double").alias(t) for t in targets],
-    ).toPandas()
-    plan = build_plan(frame, config, targets)
-    k = spark.sparkContext.defaultParallelism
+) -> pa.Table:
+    """Every speech row of ``targets``, sorted by (target, query_key),
+    from one Spark job: task ``i`` of ``k`` solves the subsets
+    ``plan.assign(k)[i]``. The tasks get the plan and the split in the
+    job's closure."""
+    plan = build_plan(collect_input(data, config, targets), config, targets)
+    sc = spark.sparkContext
+    k = sc.defaultParallelism
     tasks = plan.assign(k)
-    shared = spark.sparkContext.broadcast(plan)
 
-    def solve_tasks(batches):
-        plan = shared.value
-        for batch in batches:
-            for i in batch["id"].tolist():
-                if tasks[i]:  # else: no subset, no rows
-                    subsets = [plan.subsets[j] for j in tasks[i]]
-                    yield solve_subsets(plan, subsets, targets, method, exact_timeout)
+    def solve_task(ids):
+        for i in ids:
+            if tasks[i]:  # else: no subset, no rows
+                subsets = [plan.subsets[j] for j in tasks[i]]
+                yield solve_subsets(plan, subsets, targets, method, exact_timeout)
         drop_zip_importers()
 
-    return spark.range(0, k, 1, numPartitions=k).mapInPandas(solve_tasks, schema=RESULT_SCHEMA)
+    tables = sc.parallelize(range(k), k).mapPartitions(solve_task).collect()
+    return _concat(tables).sort_by([("target", "ascending"), ("query_key", "ascending")])
 
 
 def preprocess_target(
@@ -231,8 +253,10 @@ def preprocess_target(
     method: str = "G-O",
     exact_timeout: float | None = None,
 ) -> DataFrame:
-    """The batch job for one target column: speeches for all queries."""
-    return _solve_job(spark, data, config, (target,), method, exact_timeout)
+    """The batch job for one target column: speeches for all queries,
+    solved when called, as a DataFrame of the driver's rows."""
+    rows = _solve_job(spark, data, config, (target,), method, exact_timeout)
+    return spark.createDataFrame(rows, RESULT_SCHEMA)
 
 
 SPEECH_FILE = "speeches.parquet"
@@ -283,8 +307,9 @@ def preprocess_all(
     """Run the batch stage for every target in one job; optionally
     materialize the speech table for the run-time lookup.
 
-    With ``output_path`` (a driver-local directory, see
-    :func:`local_path`) the driver collects the job's rows, replaces
+    Without ``output_path`` the driver's rows, in (target, query_key)
+    order, are returned as a DataFrame. With ``output_path`` (a
+    driver-local directory, see :func:`local_path`) the driver replaces
     the directory at ``output_path`` with one holding a single Parquet
     file of the rows in (target, query_key) order, and returns that
     table read back with ``RESULT_SCHEMA``. If ``output_path`` exists
@@ -294,14 +319,12 @@ def preprocess_all(
     path = None if output_path is None else local_path(output_path)
     if path is not None and os.path.lexists(path) and not is_speech_table(path):
         raise ValueError(f"output_path {output_path!r} exists and is not a speech table")
-    out = _solve_job(spark, data, config, config.targets, method, None)
+    rows = _solve_job(spark, data, config, config.targets, method, None)
     if path is None:
-        return out
-    rows = out.toPandas().sort_values(["target", "query_key"], ignore_index=True)
-    table = pa.Table.from_pandas(rows, schema=to_arrow_schema(RESULT_SCHEMA), preserve_index=False)
+        return spark.createDataFrame(rows, RESULT_SCHEMA)
     if os.path.isdir(path):
         shutil.rmtree(path)
     os.makedirs(path)
-    pq.write_table(table, os.path.join(path, SPEECH_FILE))
+    pq.write_table(rows, os.path.join(path, SPEECH_FILE))
     # a file:// URI: a bare path would resolve against fs.defaultFS
     return spark.read.schema(RESULT_SCHEMA).parquet(pathlib.Path(path).as_uri())

@@ -31,6 +31,7 @@ from math import comb
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
@@ -131,30 +132,36 @@ def _check_separators(what: str, value: str) -> None:
         raise ValueError(f"{what} contains {KEY_SEP!r} or {KV_SEP!r}, the query-key separators")
 
 
-def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) -> QueryPlan:
-    """Encode ``frame`` and list every dimension subset a query of
-    ``config`` may fix (none for an empty frame).
+def build_plan(
+    table: pa.Table | pd.DataFrame, config: Config, targets: tuple[str, ...]
+) -> QueryPlan:
+    """Encode ``table`` (a pandas frame is converted to Arrow first) and
+    list every dimension subset a query of ``config`` may fix (none for
+    an empty table). Each dimension is encoded by
+    :func:`~repro.core.model.encode_column`.
 
     Raises ``ValueError``, naming the column, on a NULL dimension value,
     a NULL, NaN or infinite target, or a query-key separator (``|`` or
     ``=``) in a dimension name or value: such rows have no well-defined
     query key or utility."""
     dims = list(config.dims)
+    if isinstance(table, pd.DataFrame):
+        table = pa.Table.from_pandas(table[dims + list(targets)], preserve_index=False)
     for d in dims:
         _check_separators(f"dimension name {d!r}", d)
-        if frame[d].isna().any():
+        if table[d].null_count:
             raise ValueError(f"dimension column {d!r} has NULL values")
     ys = {}
     for t in targets:
-        ys[t] = frame[t].to_numpy(dtype=np.float64)
+        ys[t] = np.asarray(table[t].to_numpy(), dtype=np.float64)  # NULL -> NaN
         if np.isnan(ys[t]).any():
             raise ValueError(f"target column {t!r} has NULL or NaN values")
         if np.isinf(ys[t]).any():
             raise ValueError(f"target column {t!r} has infinite values")
-    codes = np.empty((len(frame), len(dims)), dtype=np.int32)
+    codes = np.empty((table.num_rows, len(dims)), dtype=np.int32)
     labels = []
     for j, d in enumerate(dims):
-        codes[:, j], uniques = encode_column(frame[d])
+        codes[:, j], uniques = encode_column(table[d])
         for v in uniques:
             _check_separators(f"dimension column {d!r} value {v!r}", v)
         labels.append(uniques)
@@ -163,7 +170,7 @@ def build_plan(frame: pd.DataFrame, config: Config, targets: tuple[str, ...]) ->
         subset
         for size in range(config.max_query_len + 1)
         for subset in combinations(range(len(dims)), size)
-    ] if len(frame) else []
+    ] if table.num_rows else []
     return QueryPlan(config=config, codes=codes, labels=labels, targets=ys, subsets=subsets)
 
 

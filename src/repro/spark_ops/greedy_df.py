@@ -8,8 +8,8 @@ join + grouped sum, selects the argmax fact, and rewrites the deviation
 column via a join with that single fact (Line 11's ``Π_E(R ⋈_M f*)``).
 
 Used to validate the relational formulation against the NumPy kernels;
-the batch pre-processing pipeline uses the kernels inside its
-``mapInPandas`` tasks because its problems are many and small.
+the batch pre-processing pipeline uses the kernels inside its solve
+job's tasks because its problems are many and small.
 """
 from __future__ import annotations
 

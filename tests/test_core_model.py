@@ -1,9 +1,11 @@
 """Unit tests for the problem model (Section II definitions)."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.model import Fact, Problem
+from repro.core.model import Fact, Problem, encode_column
 
 
 def _toy_df():
@@ -93,3 +95,54 @@ class TestFact:
         f1 = Fact(scope=(("a", "x"),), value=1.0)
         f2 = Fact(scope=(("a", "x"),), value=1.0)
         assert len({f1, f2}) == 1
+
+
+# labels sharing prefixes, the empty string, non-ASCII letters (U+FFDA
+# sorts before U+1F600 by code point but after it in UTF-16) and digit
+# strings, which sort as text ("10" < "9"); no NUL, see
+# test_nul_characters_stay_distinct
+LABELS = st.one_of(
+    st.text(alphabet="ab é\uffda\U0001f600", max_size=4),
+    st.integers(0, 120).map(str),
+)
+
+
+class TestEncodeColumn:
+    """``encode_column`` gives the codes and labels of
+    ``pd.factorize(values.astype(str), sort=True)``, from pandas and
+    from Arrow input."""
+
+    @staticmethod
+    def assert_factorized(column, values: pd.Series) -> None:
+        want_codes, want_labels = pd.factorize(values.astype(str), sort=True)
+        codes, labels = encode_column(column)
+        assert codes.dtype == np.int32
+        np.testing.assert_array_equal(codes, want_codes)
+        assert labels.tolist() == want_labels.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(LABELS, max_size=30), st.integers(0, 30))
+    @example([], 0)
+    def test_matches_factorize(self, values, split):
+        series = pd.Series(values, dtype=object)
+        chunked = pa.chunked_array([values[:split], values[split:]], type=pa.string())
+        for column in (series, pa.array(values, type=pa.string()), chunked):
+            self.assert_factorized(column, series)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[10, 9, 10, 100], [1.5, 2.0, 1.5], [True, False, True]],
+        ids=["int", "float", "bool"],
+    )
+    def test_non_string_values_as_strings(self, values):
+        series = pd.Series(values)
+        for column in (series, pa.array(values)):
+            self.assert_factorized(column, series)
+
+    def test_nul_characters_stay_distinct(self):
+        """``pd.factorize`` compares object strings up to their first NUL
+        and so merges ``"a"`` and ``"a\\x00"``; the Arrow encoder keeps
+        every distinct value apart."""
+        codes, labels = encode_column(pd.Series(["a\x00", "a", "", "\x00"]))
+        assert labels.tolist() == ["", "\x00", "a", "a\x00"]
+        assert codes.tolist() == [3, 2, 0, 1]

@@ -5,11 +5,13 @@ import itertools
 import json
 import re
 import sys
+import uuid
 import zipfile
 import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import DataFrameReader
@@ -20,6 +22,7 @@ from repro.core.greedy import greedy_summary
 from repro.core.model import Problem
 from repro.pipeline import preprocess
 from repro.pipeline.config import Config, decode_key, encode_key
+from repro.pipeline.lookup import SpeechIndex
 from repro.experiments import solve_problems_locally
 from repro.pipeline import problems
 from repro.pipeline.preprocess import (
@@ -93,7 +96,7 @@ def solve_one(pdf, predicates, method):
     plan."""
     plan = build_plan(pdf, CFG, ("delay",))
     subset = tuple(j for j, d in enumerate(CFG.dims) if d in predicates)
-    out = solve_subsets(plan, [subset], ("delay",), method)
+    out = solve_subsets(plan, [subset], ("delay",), method).to_pandas()
     return out[out["query_key"] == encode_key(predicates)].reset_index(drop=True)
 
 
@@ -223,29 +226,35 @@ class TestBatchJob:
         """An integer dimension is keyed by its values as strings and an
         integer target is solved as float64: the speeches equal those of
         the same table given as strings and doubles."""
-        frames = []
+        tables = []
 
-        def capture(frame, config, targets):
-            frames.append(frame)
-            return build_plan(frame, config, targets)
+        def capture(table, config, targets):
+            tables.append(table)
+            return build_plan(table, config, targets)
 
         monkeypatch.setattr(preprocess, "build_plan", capture)
         ints = toy_pdf().assign(daytime=lambda d: np.where(d["daytime"] == "am", 9, 15))
         ints["delay"] = (ints["delay"] * 10).astype(np.int64)
         strs = ints.assign(daytime=ints["daytime"].astype(str), delay=ints["delay"].astype(float))
         order = ["target", "query_key"]
-        tables = [
+        speeches = [
             preprocess_all(spark, spark.createDataFrame(pdf), CFG, method="G-B")
             .toPandas()
             .drop(columns="solve_seconds")
             .sort_values(order, ignore_index=True)
             for pdf in (ints, strs)
         ]
-        for frame in frames:
-            assert frame["daytime"].map(type).eq(str).all()
-            assert frame["delay"].dtype == np.float64
-        assert encode_key({"daytime": "15"}) in set(tables[0]["query_key"])
-        pd.testing.assert_frame_equal(tables[0], tables[1], check_exact=True)
+        # each pass built its plan from one collected table, whatever
+        # the pass calls to collect it
+        assert len(tables) == 2
+        for table in tables:
+            assert table.column_names == [*CFG.dims, "delay"]
+            assert [table.schema.field(d).type for d in CFG.dims] == [pa.string()] * 3
+            assert table.schema.field("delay").type == pa.float64()
+            assert set(table["daytime"].to_pylist()) == {"9", "15"}
+            np.testing.assert_array_equal(table["delay"].to_numpy(), strs["delay"].to_numpy())
+        assert encode_key({"daytime": "15"}) in set(speeches[0]["query_key"])
+        pd.testing.assert_frame_equal(speeches[0], speeches[1], check_exact=True)
 
     def test_methods_agree_on_utility(self, spark, toy_sdf):
         """G-B, G-P, G-O must produce equal-utility speeches; E at least
@@ -398,6 +407,50 @@ class TestSpeechTable:
         assert read == [out.as_uri()]
 
 
+class TestPassShape:
+    """One ``preprocess_all`` pass is two Spark jobs: the input collect
+    and the solve job of ``defaultParallelism`` tasks."""
+
+    def test_two_jobs(self, spark, toy_sdf, tmp_path):
+        sc = spark.sparkContext
+        group = f"pass-shape-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            preprocess_all(spark, toy_sdf, CFG, "G-B", str(tmp_path / "speeches"))
+        finally:
+            for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
+                sc.setLocalProperty(key, None)
+        st = sc.statusTracker()
+        jobs = [st.getJobInfo(j) for j in sorted(st.getJobIdsForGroup(group))]
+        assert len(jobs) == 2
+        solve = jobs[1]
+        assert [st.getStageInfo(s).numTasks for s in solve.stageIds] == [sc.defaultParallelism]
+
+
+@pytest.mark.parametrize("name", ["dep.state", "dep state", "dep`q"])
+def test_column_names_are_quoted(spark, tmp_path, name):
+    """A dot, a space or a backtick is part of a column name, in a
+    dimension and in a target: the pass neither reads a dot as a struct
+    field nor breaks the identifier at a backtick."""
+    target = name.replace("dep", "arr")
+    pdf = two_target_pdf().rename(columns={"region": name, "cancelled": target})
+    cfg = Config(dims=(name, "season", "daytime"), targets=("delay", target), speech_length=2)
+    df = preprocess_all(spark, spark.createDataFrame(pdf), cfg, "G-B", str(tmp_path / "s"))
+    index = SpeechIndex(df.toPandas())
+    assert index.targets == sorted(["delay", target])
+    assert len(index) == 2 * count_queries(spark.createDataFrame(toy_pdf()), CFG)
+    for t in cfg.targets:
+        answer = index.query(t, {name: "North", "season": "Winter"})
+        assert answer.exact and answer.matched_predicates == {name: "North", "season": "Winter"}
+        assert answer.speech.startswith(f"About {t} for ")
+    # the speeches are those of the same table with plain names
+    got = df.toPandas().set_index(["target", "query_key"])["utility"]
+    plain = solve_problems_locally(two_target_pdf(), TWO_TARGETS, "cancelled", "G-B")
+    for row in plain.itertuples():
+        preds = {name if d == "region" else d: v for d, v in decode_key(row.query_key).items()}
+        assert got[(target, encode_key(preds))] == row.utility
+
+
 class TestOneSolvePath:
     """The Spark job and the local loop solve the same query plan with
     the same per-query function, so their tables are equal."""
@@ -479,7 +532,7 @@ class TestSolveSeconds:
         monkeypatch.setattr(preprocess, "perf_counter", lambda: next(ticks))
         plan = build_plan(two_target_pdf(), TWO_TARGETS, TWO_TARGETS.targets)
         for subset in plan.subsets:
-            out = solve_subsets(plan, [subset], TWO_TARGETS.targets, "G-B")
+            out = solve_subsets(plan, [subset], TWO_TARGETS.targets, "G-B").to_pandas()
             assert len(out) == 2 * len(plan.cut(subset)[0])
             assert out["solve_seconds"].sum() == pytest.approx(2.5, rel=1e-12)
             assert out["n_rows"].sum() == 2 * 60
@@ -491,7 +544,7 @@ class TestSolveSeconds:
             t0 = preprocess.perf_counter()
             out = solve_subsets(plan, [subset], TWO_TARGETS.targets, "E")
             wall = preprocess.perf_counter() - t0
-            assert 0 < out["solve_seconds"].sum() <= wall
+            assert 0 < sum(out["solve_seconds"].to_pylist()) <= wall
 
 
 class TestTaskAssignment:
@@ -505,7 +558,10 @@ class TestTaskAssignment:
         assert len(tasks) == k
         assert sorted(i for t in tasks for i in t) == list(range(len(plan.subsets)))
         keys = pd.concat(
-            [solve_subsets(plan, [plan.subsets[i] for i in t], ("delay",), "G-B") for t in tasks if t]
+            [
+                solve_subsets(plan, [plan.subsets[i] for i in t], ("delay",), "G-B").to_pandas()
+                for t in tasks if t
+            ]
         )["query_key"]
         assert keys.is_unique and len(keys) == sum(len(plan.cut(s)[0]) for s in plan.subsets)
 
