@@ -56,7 +56,7 @@ def _estimated_gains(
     ``factset.row_to_fact``; a fact's sampled rows lie in its group's
     row, so they are still summed in sample order."""
     s = len(sample_idx)
-    target_s = factset.batch.target[sample_idx]
+    target_s = factset.problem.target[sample_idx]
     k = factset.n_facts
     r2f = factset.row_to_fact[:, sample_idx]  # (groups, s) global fact ids
     flat = r2f.ravel()

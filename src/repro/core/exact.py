@@ -51,7 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from .facts import FactSet
-from .greedy import _greedy
+from .greedy import _greedy, _own_facts
 from .model import Problem, SpeechResult
 from .pruning import full_plan
 from . import utility as U
@@ -83,7 +83,7 @@ def exact_summary(
     """Guaranteed-optimal speech of up to ``m`` facts (Corollary 1).
     ``factset`` is ``problem``'s, from
     :func:`~repro.core.facts.enumerate_facts`; utilities are over
-    ``problem``'s prior (:meth:`~repro.core.facts.FactSet.over`).
+    ``problem``'s prior (:func:`~repro.core.greedy._own_facts`).
 
     ``max_seconds`` mirrors the paper's per-scenario timeout (48 h on
     their testbed): when exceeded, the best speech found so far is
@@ -92,7 +92,7 @@ def exact_summary(
 
     ``extra["representatives"]`` counts the distinct scope row sets the
     DFS ranks; ``extra["nodes_expanded"]`` the speeches it evaluated."""
-    return exact_batch(factset.over(problem), m, max_seconds)[0]
+    return exact_batch(_own_facts(problem, factset), m, max_seconds)[0]
 
 
 def exact_batch(
@@ -100,7 +100,7 @@ def exact_batch(
 ) -> list[SpeechResult]:
     """:func:`exact_summary` for every problem of ``factset``'s batch, in
     problem order; ``max_seconds`` caps each problem's search."""
-    seeds = _greedy(factset, m, full_plan(factset), range(factset.batch.n_problems))
+    seeds = _greedy(factset, m, full_plan(factset), range(factset.problem.n_problems))
     return [_search(factset.select(p), m, seed, max_seconds) for p, seed in enumerate(seeds)]
 
 
@@ -109,7 +109,7 @@ def _search(
 ) -> SpeechResult:
     """Algorithm 1's search for the one problem of ``factset``, from its
     greedy ``seed``."""
-    problem = factset.batch.problem(0)
+    problem = factset.problem
     n = problem.n_rows
     target = problem.target
     rows_processed = seed.rows_processed

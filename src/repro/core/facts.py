@@ -21,15 +21,15 @@ single ``bincount`` — the NumPy specialisation of the paper's
 ``Γ_{ΣU,F}(R ⋈_M F)`` join-then-aggregate. It is the one scope representation: fact ``f``
 covers exactly the rows where its group's row equals ``f``.
 
-A :class:`~repro.core.model.Batch` of problems over the same dimensions
-is enumerated as one lattice whose root is the problem: the ``()``
-group has one fact per problem. These are the cells of ``S ∪ G`` for
-the dimensions ``S`` the batch's queries fix (Section III's cube).
-Global ids run by problem, then group, then codes, so each problem's
-facts are one contiguous run, in the order the problem enumerated alone
-gives them; their values are bit-identical to it, since each fact's
-rows are the same rows in the same order. A single problem is the
-batch of one.
+A :class:`~repro.core.model.Problem` that batches problems over the
+same dimensions is enumerated as one lattice whose root is the problem:
+the ``()`` group has one fact per problem. These are the cells of
+``S ∪ G`` for the dimensions ``S`` the batch's queries fix (Section
+III's cube). Global ids run by problem, then group, then codes, so each
+problem's facts are one contiguous run, in the order the problem
+enumerated alone gives them; their values are bit-identical to it,
+since each fact's rows are the same rows in the same order. A single
+problem is the batch of one.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Batch, Fact, Problem
+from .model import Fact, Problem
 
 
 @dataclass
@@ -56,7 +56,7 @@ class FactSet:
     of ``t``. Algorithm 3 prunes and the §VI-C cost model reason by it.
     """
 
-    batch: Batch
+    problem: Problem
     group_dims: list[tuple[int, ...]]  # restricted dims per group (sorted); () = overall
     offsets: np.ndarray  # (problems·groups + 1,) — see the class docstring
     contains: np.ndarray  # (groups, groups) bool
@@ -87,7 +87,7 @@ class FactSet:
     @cached_property
     def fact_groups(self) -> np.ndarray:
         """``(n_facts,)``: the group of each global fact id."""
-        runs = np.tile(np.arange(self.n_groups), self.batch.n_problems)
+        runs = np.tile(np.arange(self.n_groups), self.problem.n_problems)
         return np.repeat(runs, np.diff(self.offsets))
 
     def group_of(self, fact_id):
@@ -97,16 +97,21 @@ class FactSet:
     def select(self, p: int) -> "FactSet":
         """Problem ``p``'s facts alone, exactly as enumerating the problem
         by itself gives them: its run of ids less the run's start, and
-        ``row_to_fact`` over its own rows. A batch of one is returned as
-        it is."""
-        if self.batch.n_problems == 1:
+        ``row_to_fact`` over its own rows, over the problem cut from its
+        rows with its prior. A batch of one is returned as it is."""
+        pr = self.problem
+        if pr.n_problems == 1:
             return self
         g = self.n_groups
         offsets = self.offsets[p * g : (p + 1) * g + 1]
         lo, hi = int(offsets[0]), int(offsets[-1])
-        a, b = self.batch.bounds[p], self.batch.bounds[p + 1]
+        a, b = pr.bounds[p], pr.bounds[p + 1]
+        own = Problem(
+            pr.dim_names, pr.dim_matrix[a:b], pr.dim_labels, pr.target[a:b],
+            pr.prior[p], pr.target_name,
+        )
         return FactSet(
-            batch=Batch.of(self.batch.problem(p)),
+            problem=own,
             group_dims=self.group_dims,
             offsets=offsets - lo,
             contains=self.contains,
@@ -115,28 +120,9 @@ class FactSet:
             codes=self.codes[lo:hi],
         )
 
-    def over(self, problem: Problem) -> "FactSet":
-        """These facts of one problem, solved over ``problem``'s rows and
-        prior: the batch of one that the single-problem solvers run.
-        ``problem`` must have the rows and dimensions the facts were
-        enumerated from; its prior may differ, since no fact depends on
-        it. Raises ``ValueError`` otherwise."""
-        b = self.batch
-        if b.n_problems != 1 or problem.n_rows != b.n_rows or problem.dim_names != b.dim_names:
-            raise ValueError("the facts were not enumerated from this problem")
-        return FactSet(
-            batch=Batch.of(problem),
-            group_dims=self.group_dims,
-            offsets=self.offsets,
-            contains=self.contains,
-            row_to_fact=self.row_to_fact,
-            values=self.values,
-            codes=self.codes,
-        )
-
     def fact(self, fact_id: int) -> Fact:
         """Materialize a global fact id as a labelled :class:`Fact`."""
-        p = self.batch
+        p = self.problem
         scope = tuple(
             sorted(
                 (p.dim_names[d], str(p.dim_labels[d][code]))
@@ -147,10 +133,10 @@ class FactSet:
         return Fact(scope=scope, value=float(self.values[fact_id]))
 
 
-def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSet:
+def enumerate_facts(problem: Problem, max_extra_dims: int = 2) -> FactSet:
     """Enumerate all candidate facts with up to ``max_extra_dims``
     additional equality predicates (all value combinations appearing in
-    the data, as in Section III) for a problem or a batch of problems.
+    the data, as in Section III) for every problem of ``problem``.
     The empty group — the overall average of each problem's subset — is
     always included.
 
@@ -166,10 +152,9 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
     the global ids, which run by problem, then group (in
     ``combinations`` order), then that order.
     """
-    batch = problem if isinstance(problem, Batch) else Batch.of(problem)
-    dm = batch.dim_matrix
+    dm = problem.dim_matrix
     n, d = dm.shape
-    n_problems = batch.n_problems
+    n_problems = problem.n_problems
     card = dm.max(axis=0, initial=-1).astype(np.intp) + 1
     lattice = [
         dims for size in range(max_extra_dims + 1) for dims in combinations(range(d), size)
@@ -180,7 +165,7 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
     built: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for row_to_fact, dims in zip(stacked, lattice):
         if not dims:
-            row_to_fact[:] = np.repeat(np.arange(n_problems, dtype=np.int32), batch.sizes)
+            row_to_fact[:] = np.repeat(np.arange(n_problems, dtype=np.int32), problem.sizes)
             group_codes = np.full((n_problems, d), -1, dtype=np.int32)
             owner = np.arange(n_problems)
         else:
@@ -197,7 +182,7 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
             group_codes[:, dims[-1]] = cells % c
             owner = parent_owner[parent]
         k = group_codes.shape[0]
-        sums = np.bincount(row_to_fact, weights=batch.target, minlength=k)
+        sums = np.bincount(row_to_fact, weights=problem.target, minlength=k)
         values.append(sums / np.bincount(row_to_fact, minlength=k))
         codes.append(group_codes)
         owners.append(owner)
@@ -208,7 +193,7 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
     # global id = local id + shift[problem, group]: the start of the
     # problem's run of the group less the start of its facts in the group
     shift = offsets[:-1].reshape(counts.shape) - (np.cumsum(counts, axis=0) - counts)
-    stacked += np.repeat(shift.T.astype(np.int32), batch.sizes, axis=1)
+    stacked += np.repeat(shift.T.astype(np.int32), problem.sizes, axis=1)
     ids = np.concatenate([np.arange(o.shape[0]) + shift[o, g] for g, o in enumerate(owners)])
     all_values = np.empty(ids.shape[0])
     all_values[ids] = np.concatenate(values)
@@ -217,7 +202,7 @@ def enumerate_facts(problem: Problem | Batch, max_extra_dims: int = 2) -> FactSe
     masks = np.array([sum(1 << j for j in dims) for dims in lattice], dtype=np.int64)
     contains = (masks[:, None] & masks[None, :]) == masks[:, None]
     return FactSet(
-        batch=batch,
+        problem=problem,
         group_dims=lattice,
         offsets=offsets,
         contains=contains,

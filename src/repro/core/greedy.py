@@ -22,6 +22,7 @@ all the rows it is given. :func:`greedy_summary` is the batch of one.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,15 +41,31 @@ def greedy_summary(
     """Select up to ``m`` facts greedily; returns the speech plus cost
     counters. ``factset`` is ``problem``'s, from
     :func:`~repro.core.facts.enumerate_facts`; the gains are over
-    ``problem``'s prior (:meth:`~repro.core.facts.FactSet.over`).
-    ``plan=None`` means the full plan: every fact's gain is computed
-    each iteration (G-B). ``extra["first_gains"]`` keeps the first
-    iteration's gain array (``-inf`` where the plan pruned); under the
-    full plan it holds every fact's single-fact utility."""
-    own = factset.over(problem)
+    ``problem``'s prior (:func:`_own_facts`). ``plan=None`` means the
+    full plan: every fact's gain is computed each iteration (G-B).
+    ``extra["first_gains"]`` keeps the first iteration's gain array
+    (``-inf`` where the plan pruned); under the full plan it holds every
+    fact's single-fact utility."""
+    own = _own_facts(problem, factset)
     res = _greedy(own, m, plan or full_plan(factset), [0])[0]
     res.facts = [own.fact(f) for f in res.extra["fact_ids"]]
     return res
+
+
+def _own_facts(problem: Problem, factset: FactSet) -> FactSet:
+    """The facts of one problem, solved over ``problem``'s rows and
+    prior, as the single-problem solvers run them. ``problem`` must have
+    the rows and dimensions the facts were enumerated from; its prior
+    may differ, since no fact depends on it. Raises ``ValueError``
+    otherwise."""
+    own = factset.problem
+    if (
+        own.n_problems != 1
+        or not np.array_equal(problem.bounds, own.bounds)
+        or problem.dim_names != own.dim_names
+    ):
+        raise ValueError("the facts were not enumerated from this problem")
+    return replace(factset, problem=problem)
 
 
 def greedy_batch(
@@ -62,7 +79,7 @@ def greedy_batch(
     for G-O) plans each problem of ``candidates`` (default: all) on its
     own facts; a problem whose plan has targets is solved alone under
     it. All others are solved together under the full plan."""
-    n_problems = factset.batch.n_problems
+    n_problems = factset.problem.n_problems
     results: list[SpeechResult | None] = [None] * n_problems
     if planner is not None:
         for p in range(n_problems) if candidates is None else candidates:
@@ -89,7 +106,7 @@ def _greedy(
     and ``facts`` empty: :func:`greedy_batch` and
     :func:`greedy_summary` label them, E's seeds need the ids alone. A
     plan with targets needs a batch of one."""
-    batch = factset.batch
+    batch = factset.problem
     if plan.targets and batch.n_problems > 1:
         raise ValueError("a pruning plan with targets applies to a batch of one problem")
     fact_bounds = factset.problem_offsets

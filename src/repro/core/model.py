@@ -1,6 +1,6 @@
 """Problem model (Section II of the paper).
 
-A :class:`Problem` is one *speech summarization problem instance*
+A :class:`Problem` is a *speech summarization problem instance*
 ``<R, F, m>``: a relation ``R`` with dimension columns and one numeric
 target column, to be summarized by up to ``m`` facts. Dimension values
 are integer-coded so the solver kernels are pure NumPy; labels are kept
@@ -11,10 +11,10 @@ The *prior* is the constant user expectation before listening
 target column as the prior (Section VIII-A); :meth:`Problem.from_pandas`
 defaults to that.
 
-A :class:`Batch` stacks problems over the same dimensions, each a
-contiguous run of rows: the queries that fix one dimension subset
-partition the input, so the pipeline solves all of them together. A
-single problem is the batch of one (:meth:`Batch.of`).
+A :class:`Problem` may also be a batch: several problems over the same
+dimensions, each a contiguous run of rows (``bounds``). The queries
+that fix one dimension subset partition the input, so the pipeline
+solves all of them together. A single problem is the batch of one.
 """
 from __future__ import annotations
 
@@ -73,26 +73,56 @@ class Fact:
 
 @dataclass
 class Problem:
-    """One summarization problem over an integer-coded relation.
+    """A batch of summarization problems over the same integer-coded
+    dimensions, their rows stacked: problem ``i`` holds rows
+    ``bounds[i]:bounds[i+1]``, in input order. ``bounds`` defaults to
+    ``[0, n]``, one problem over every row.
 
-    ``dim_matrix[i, j]`` is the code of row ``i`` in dimension ``j``;
+    ``dim_matrix[r, j]`` is the code of row ``r`` in dimension ``j``;
     ``dim_labels[j][c]`` maps code ``c`` back to the original value.
+    ``prior`` holds one prior per problem, a float for a problem of one;
+    it defaults to each problem's mean target value, computed over its
+    own rows (``np.mean`` of its slice), so a problem's prior is the
+    same alone and among others, bit for bit.
+
+    Raises ``ValueError`` on mismatched shapes, a problem without rows,
+    or a NaN or infinite target value or prior: such a problem has no
+    well-defined utility.
     """
 
     dim_names: list[str]
     dim_matrix: np.ndarray  # (n, d) int32
     dim_labels: list[np.ndarray]  # per-dim array of original values
     target: np.ndarray  # (n,) float64
-    prior: float
+    prior: float | np.ndarray | None = None  # per problem; None = each one's mean
     target_name: str = "target"
+    bounds: np.ndarray | None = None  # (problems+1,) int64 row offsets
 
     def __post_init__(self) -> None:
         self.dim_matrix = np.ascontiguousarray(self.dim_matrix, dtype=np.int32)
         self.target = np.ascontiguousarray(self.target, dtype=np.float64)
-        if self.dim_matrix.shape[0] != self.target.shape[0]:
+        n = self.target.shape[0]
+        if self.dim_matrix.shape[0] != n:
             raise ValueError("dim_matrix and target row counts differ")
         if self.dim_matrix.shape[1] != len(self.dim_names):
             raise ValueError("dim_matrix width != number of dimension names")
+        self.bounds = np.asarray([0, n] if self.bounds is None else self.bounds, dtype=np.int64)
+        if self.bounds[0] != 0 or self.bounds[-1] != n:
+            raise ValueError("bounds must run from 0 to the number of rows")
+        if self.n_problems < 1 or (self.sizes <= 0).any():
+            raise ValueError("cannot summarize an empty relation")
+        if not np.isfinite(self.target).all():
+            raise ValueError("a target value is NaN or infinite")
+        if self.prior is None:
+            b = self.bounds.tolist()
+            priors = np.array([np.mean(self.target[i:j]) for i, j in zip(b[:-1], b[1:])])
+        else:
+            priors = np.asarray(self.prior, dtype=np.float64).reshape(-1)
+        if priors.shape[0] != self.n_problems:
+            raise ValueError("need one prior per problem")
+        if not np.isfinite(priors).all():
+            raise ValueError("a prior is NaN or infinite")
+        self.prior = float(priors[0]) if self.n_problems == 1 else priors
 
     @property
     def n_rows(self) -> int:
@@ -101,82 +131,6 @@ class Problem:
     @property
     def n_dims(self) -> int:
         return len(self.dim_names)
-
-    def prior_deviation(self) -> np.ndarray:
-        """Per-row deviation ``|P(r) - v_r|`` under the empty speech."""
-        return np.abs(self.target - self.prior)
-
-    @classmethod
-    def from_pandas(
-        cls,
-        df: pd.DataFrame,
-        dims: list[str],
-        target: str,
-        prior: float | None = None,
-    ) -> "Problem":
-        """Build a problem from a pandas frame; prior defaults to the
-        average target value over ``df`` (the paper's constant prior)."""
-        if len(df) == 0:
-            raise ValueError("cannot summarize an empty relation")
-        mat = np.empty((len(df), len(dims)), dtype=np.int32)
-        labels: list[np.ndarray] = []
-        for j, d in enumerate(dims):
-            mat[:, j], uniques = encode_column(df[d])
-            labels.append(uniques)
-        tgt = df[target].to_numpy(dtype=np.float64)
-        return cls(
-            dim_names=list(dims),
-            dim_matrix=mat,
-            dim_labels=labels,
-            target=tgt,
-            prior=float(np.mean(tgt)) if prior is None else float(prior),
-            target_name=target,
-        )
-
-
-@dataclass
-class Batch:
-    """Problems over the same dimensions with their rows stacked:
-    problem ``i`` holds rows ``bounds[i]:bounds[i+1]``, in input order,
-    and has prior ``priors[i]``. ``priors`` defaults to each problem's
-    mean target value, computed over its own rows (``np.mean`` of its
-    slice), so it is bit-identical to the prior of the problem alone."""
-
-    dim_names: list[str]
-    dim_matrix: np.ndarray  # (n, d) int32
-    dim_labels: list[np.ndarray]
-    target: np.ndarray  # (n,) float64
-    bounds: np.ndarray  # (problems+1,) int64 row offsets
-    priors: np.ndarray | None = None  # (problems,) float64
-    target_name: str = "target"
-
-    def __post_init__(self) -> None:
-        self.dim_matrix = np.ascontiguousarray(self.dim_matrix, dtype=np.int32)
-        self.target = np.ascontiguousarray(self.target, dtype=np.float64)
-        self.bounds = np.asarray(self.bounds, dtype=np.int64)
-        if self.bounds[0] != 0 or self.bounds[-1] != self.target.shape[0]:
-            raise ValueError("bounds must run from 0 to the number of rows")
-        if (self.sizes <= 0).any():
-            raise ValueError("every problem of a batch needs at least one row")
-        if self.priors is None:
-            self.priors = np.array([np.mean(self.target[a:b]) for a, b in self.slices()])
-
-    @classmethod
-    def of(cls, problem: Problem) -> "Batch":
-        """The batch of one: ``problem``'s arrays, not copied."""
-        return cls(
-            dim_names=problem.dim_names,
-            dim_matrix=problem.dim_matrix,
-            dim_labels=problem.dim_labels,
-            target=problem.target,
-            bounds=np.array([0, problem.n_rows]),
-            priors=np.array([problem.prior]),
-            target_name=problem.target_name,
-        )
-
-    @property
-    def n_rows(self) -> int:
-        return self.target.shape[0]
 
     @property
     def n_problems(self) -> int:
@@ -187,26 +141,40 @@ class Batch:
         """Rows per problem."""
         return np.diff(self.bounds)
 
-    def slices(self) -> list[tuple[int, int]]:
-        """``(start, stop)`` of each problem's rows."""
-        b = self.bounds.tolist()
-        return list(zip(b[:-1], b[1:]))
-
-    def problem(self, i: int) -> Problem:
-        """Problem ``i`` alone, on views of its rows."""
-        a, b = self.bounds[i], self.bounds[i + 1]
-        return Problem(
-            dim_names=self.dim_names,
-            dim_matrix=self.dim_matrix[a:b],
-            dim_labels=self.dim_labels,
-            target=self.target[a:b],
-            prior=float(self.priors[i]),
-            target_name=self.target_name,
-        )
+    @property
+    def priors(self) -> np.ndarray:
+        """``(problems,)``: each problem's prior."""
+        return np.atleast_1d(self.prior)
 
     def prior_deviation(self) -> np.ndarray:
-        """Per-row deviation from the row's own problem's prior."""
-        return np.abs(self.target - np.repeat(self.priors, self.sizes))
+        """Per-row deviation ``|P(r) - v_r|`` under the empty speech, ``P``
+        the prior of the row's own problem."""
+        prior = self.prior if self.n_problems == 1 else np.repeat(self.prior, self.sizes)
+        return np.abs(self.target - prior)
+
+    @classmethod
+    def from_pandas(
+        cls,
+        df: pd.DataFrame,
+        dims: list[str],
+        target: str,
+        prior: float | None = None,
+    ) -> "Problem":
+        """Build one problem from a pandas frame; prior defaults to the
+        average target value over ``df`` (the paper's constant prior)."""
+        mat = np.empty((len(df), len(dims)), dtype=np.int32)
+        labels: list[np.ndarray] = []
+        for j, d in enumerate(dims):
+            mat[:, j], uniques = encode_column(df[d])
+            labels.append(uniques)
+        return cls(
+            dim_names=list(dims),
+            dim_matrix=mat,
+            dim_labels=labels,
+            target=df[target].to_numpy(dtype=np.float64),
+            prior=prior,
+            target_name=target,
+        )
 
 
 @dataclass

@@ -87,7 +87,7 @@ def needs_planning(factset: FactSet) -> np.ndarray:
     Decided for every problem at once from its rows, groups and facts;
     the others get the trivial plan without being cut from the batch."""
     n_facts = np.diff(factset.problem_offsets)
-    cost = trivial_cost(factset.batch.sizes, factset.n_groups, n_facts)
+    cost = trivial_cost(factset.problem.sizes, factset.n_groups, n_facts)
     return cost >= PLANNING_THRESHOLD
 
 
@@ -95,7 +95,7 @@ def opt_prune(factset: FactSet) -> PruningPlan:
     """OPTPRUNE: the minimum-estimated-cost plan among the candidates
     generated by Algorithm 4 (this is what makes variant G-O), for the
     one problem of ``factset``."""
-    n, k = factset.batch.n_rows, len(factset.group_dims)
+    n, k = factset.problem.n_rows, len(factset.group_dims)
     best_cost = trivial_cost(n, k, factset.n_facts)
     if best_cost < PLANNING_THRESHOLD:
         return full_plan(factset)

@@ -90,7 +90,7 @@ def kernel_blocks(factset: FactSet, problems: np.ndarray) -> list[tuple[int, int
     :data:`BLOCK_CELLS` cells: it exceeds a step by at most its last
     problem, and a problem larger than a step may share its run with
     smaller ones before it."""
-    sizes = factset.batch.sizes[problems]
+    sizes = factset.problem.sizes[problems]
     step = max(1, BLOCK_CELLS // factset.n_groups)
     facts = factset.problem_offsets
     ends = np.cumsum(sizes)
@@ -133,7 +133,7 @@ def pruned_gains(
     facts across all the rows it is given."""
     if row_to_fact is None:
         row_to_fact = factset.row_to_fact
-        blocks = kernel_blocks(factset, np.arange(factset.batch.n_problems))
+        blocks = kernel_blocks(factset, np.arange(factset.problem.n_problems))
     stats = PruneStats()
     n = dev.shape[0]
     gains = np.full(factset.n_facts, -np.inf, dtype=np.float64)

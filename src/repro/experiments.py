@@ -243,9 +243,7 @@ def run_fig10(
             fs = enumerate_facts(batches[target], plan.extra_dims(subset))
             for i in hits:
                 own = fs.select(i)
-                res = sampling_summary(
-                    own.batch.problem(0), own, m=config.speech_length, seed=seed
-                )
+                res = sampling_summary(own.problem, own, m=config.speech_length, seed=seed)
                 lat.append(res.latency_seconds * 1e3)
                 tot.append(res.total_seconds * 1e3)
 

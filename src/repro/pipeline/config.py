@@ -27,6 +27,8 @@ class Config:
             raise ValueError("need at least one dimension and one target")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError("duplicate dimension columns")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("duplicate target columns")
         if set(self.dims) & set(self.targets):
             raise ValueError("a column cannot be both dimension and target")
 

@@ -11,10 +11,10 @@ and lists every *dimension subset* a query may fix. The queries that fix
 the same subset partition the rows, and :meth:`QueryPlan.cut` cuts them
 all at once from the codes: one stable sort on the subset's codes puts
 each query's rows together, in input order, and the queries' problems
-become one :class:`~repro.core.model.Batch` per target. The subset is
-the unit of work: the Spark job in :mod:`repro.pipeline.preprocess`,
-the local solve loop and the Figure 10 baseline all cut and solve the
-subsets of one plan.
+become one :class:`~repro.core.model.Problem` per target, a batch with
+one run of rows per query. The subset is the unit of work: the Spark
+job in :mod:`repro.pipeline.preprocess`, the local solve loop and the
+Figure 10 baseline all cut and solve the subsets of one plan.
 
 :func:`explode_queries` states the same query set relationally: each row
 replicated into every dimension subset of size ≤ L, tagged with its
@@ -35,7 +35,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
-from ..core.model import Batch, encode_column
+from ..core.model import Problem, encode_column
 from .config import Config, KEY_SEP, KV_SEP
 
 
@@ -92,7 +92,7 @@ class QueryPlan:
             heapq.heappush(loads, (load + costs[i], t))
         return tasks
 
-    def cut(self, subset: tuple[int, ...]) -> tuple[list[dict[str, str]], dict[str, Batch]]:
+    def cut(self, subset: tuple[int, ...]) -> tuple[list[dict[str, str]], dict[str, Problem]]:
         """The queries that fix the dimensions ``subset``: their
         predicates, in the order of their codes, and per target the
         batch of their problems over the free dimensions, query ``i``
@@ -114,7 +114,7 @@ class QueryPlan:
         free = self.free_dims(subset)
         matrix = self.codes[np.ix_(order, free)]
         batches = {
-            t: Batch(
+            t: Problem(
                 dim_names=[dims[j] for j in free],
                 dim_matrix=matrix,
                 dim_labels=[self.labels[j] for j in free],

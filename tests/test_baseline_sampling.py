@@ -27,7 +27,7 @@ def reference_estimated_gains(factset, sample_idx, dev_sample, n_total):
     """One ``bincount`` per statistic per group over the group's local
     fact ids: the loop the stacked estimator replaced."""
     s = len(sample_idx)
-    target_s = factset.batch.target[sample_idx]
+    target_s = factset.problem.target[sample_idx]
     k = factset.n_facts
     est, half, v_mean, v_count = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
     for g, size in enumerate(factset.group_sizes):

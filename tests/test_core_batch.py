@@ -100,6 +100,12 @@ def assert_batch_equals_alone(plan: QueryPlan, m: int) -> list[int]:
                         np.testing.assert_array_equal(cut.values, own.values)
                         np.testing.assert_array_equal(cut.codes, own.codes)
                         np.testing.assert_array_equal(cut.offsets, own.offsets)
+                        # the problem cut from the batch is the problem alone
+                        np.testing.assert_array_equal(cut.problem.dim_matrix, own.problem.dim_matrix)
+                        np.testing.assert_array_equal(cut.problem.target, own.problem.target)
+                        assert cut.problem.prior == own.problem.prior
+                        for a, b in zip(cut.problem.dim_labels, own.problem.dim_labels, strict=True):
+                            np.testing.assert_array_equal(a, b)
     return chosen
 
 

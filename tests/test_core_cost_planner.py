@@ -72,7 +72,7 @@ def forced_opt_prune(fs):
 class RefCostModel:
     def __init__(self, factset):
         sigma, bound_scale, bound_cost_ratio = 0.5, 3.0, 0.35
-        n = factset.batch.n_rows
+        n = factset.problem.n_rows
         self.M = np.diff(factset.offsets).astype(np.float64)
         dimsets = [frozenset(dims) for dims in factset.group_dims]
         k = len(self.M)

@@ -49,6 +49,38 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             Problem.from_pandas(_toy_df().iloc[:0], ["region"], "delay")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        df = pd.DataFrame({"a": ["x", "y", "x"], "t": [1.0, bad, 2.0]})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Problem.from_pandas(df, ["a"], "t")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_rejected(self, bad):
+        df = pd.DataFrame({"a": ["x", "y", "x"], "t": [1.0, 3.0, 2.0]})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Problem.from_pandas(df, ["a"], "t", prior=bad)
+
+    @pytest.mark.parametrize("n, bounds", [(0, None), (0, [0]), (2, [0, 2, 2])])
+    def test_zero_rows_rejected(self, n, bounds):
+        """No rows, a batch of no problems, a problem of a batch without rows."""
+        with pytest.raises(ValueError, match="empty"):
+            Problem(["a"], np.zeros((n, 1)), [np.array(["x"])], np.zeros(n), bounds=bounds)
+
+    def test_batch_priors_default_to_each_problems_mean(self):
+        y = np.array([0.1, 0.7, 1.3, 2.9, 0.7])
+        p = Problem(["a"], np.zeros((5, 1)), [np.array(["x"])], y, bounds=[0, 2, 5])
+        assert p.n_problems == 2
+        np.testing.assert_array_equal(p.sizes, [2, 3])
+        np.testing.assert_array_equal(p.prior, [np.mean(y[:2]), np.mean(y[2:])])
+        np.testing.assert_array_equal(
+            p.prior_deviation(), np.abs(y - np.repeat(p.prior, [2, 3]))
+        )
+
+    def test_one_prior_per_problem(self):
+        with pytest.raises(ValueError, match="one prior per problem"):
+            Problem(["a"], np.zeros((3, 1)), [np.array(["x"])], np.zeros(3), 0.0, bounds=[0, 1, 3])
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             Problem(

@@ -12,11 +12,13 @@ from repro.core.model import Problem
 from repro.experiments import (
     FIG3_CASES,
     run_fig3_case,
+    run_fig10,
     run_table1,
     scenario_config,
     solve_problems_locally,
 )
 from repro.pipeline.preprocess import preprocess_target
+from repro.pipeline.problems import build_plan
 
 
 class TestTable1Harness:
@@ -65,6 +67,19 @@ class TestFig3Cases:
         assert by["E"].avg_vs_exact == pytest.approx(1.0)
         # the paper reports greedy >= 98% of exact on average
         assert by["G-B"].avg_vs_exact >= 0.95
+
+
+class TestFig10Harness:
+    def test_one_row_per_dataset(self, spark):
+        sf = 0.0001  # 580 flight rows
+        out = run_fig10(spark, datasets_sf=(("flights", sf),), n_probe_queries=3)
+        assert len(out) == 1
+        row = out.iloc[0]
+        config = scenario_config("flights")
+        plan = build_plan(ds.load_pandas("flights", sf=sf), config, config.targets[:1])
+        assert row["n_queries_total"] == sum(len(plan.cut(s)[0]) for s in plan.subsets)
+        for col in ("baseline_latency_ms", "baseline_total_ms"):
+            assert np.isfinite(row[col]) and row[col] > 0
 
 
 class TestLocalSolveLoop:

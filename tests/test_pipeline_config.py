@@ -23,6 +23,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(dims=("a", "a"), targets=("t",))
 
+    def test_rejects_duplicate_targets(self):
+        with pytest.raises(ValueError, match="duplicate target"):
+            Config(dims=("a",), targets=("t", "t"))
+
     @pytest.mark.parametrize("length", ["max_query_len", "max_extra_dims", "speech_length"])
     def test_rejects_negative_lengths(self, length):
         with pytest.raises(ValueError, match="non-negative"):
